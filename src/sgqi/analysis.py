@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import recovery
-from .grids import LevelSet, SmoothnessSpec
+from .grids import SmoothnessSpec
 from .quasi_interp import vectorize_handle
 
 _LATTICE_CAP = 1 << 24

@@ -14,21 +14,12 @@ numerical failure.
 
 from __future__ import annotations
 
-import os
-
-# honor the thread cap before numpy spins up its BLAS pools
-_cap = os.environ.get("SGQI_MAX_THREADS")
-if _cap and _cap.strip().isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(_var, _cap.strip())
-
 import argparse
 import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bspline
-from .grids import LevelSet, key_to_coords, level_point_keys
+from .grids import LevelSet, SampleGrid, sample_grid
 from .quasi_interp import surplus_matrix, vectorize_handle
 from .recovery import Reconstruction
 
@@ -44,53 +44,47 @@ def integrate_reconstruction(rec: Reconstruction) -> float:
 class CubatureRule:
     """Point weights lambda_x for integrating sampled functions.
 
-    weights maps the exact dyadic key of each grid point (see
-    grids.level_point_keys) to its weight; points() and weight_vector()
-    return matching arrays in a deterministic coordinate order.
+    weights[i] is the weight of row i of grid (see grids.SampleGrid), so
+    points() and weight_vector() are aligned, in lexicographic coordinate
+    order.
     """
 
     r: int
     d: int
     delta: LevelSet
-    weights: dict
+    grid: SampleGrid
+    weights: np.ndarray
     budget: int
 
-    def _sorted_keys(self):
-        return sorted(self.weights,
-                      key=lambda key: key_to_coords(key))
-
     def points(self) -> np.ndarray:
-        return np.array([key_to_coords(key) for key in self._sorted_keys()])
+        return self.grid.coords()
 
     def weight_vector(self) -> np.ndarray:
-        return np.array([self.weights[key] for key in self._sorted_keys()])
+        return self.weights.copy()
+
+
+def _level_weights(r: int, k: tuple) -> np.ndarray:
+    """Cubature weights of the level-k detail on its node tensor.
+
+    The weight of node tau factors across dimensions as
+    (integral vector) @ (surplus matrix).
+    """
+    w = np.ones(())
+    for ki in k:
+        W, _ = surplus_matrix(r, ki)
+        w = np.multiply.outer(w, W.T.dot(_integral_vector(r, ki)))
+    return w
 
 
 def assemble_weights(delta: LevelSet, r: int) -> CubatureRule:
-    """Accumulate per-point cubature weights over all levels of the set.
-
-    Per level the weight of node tau factors across dimensions as
-    (integral vector) @ (surplus matrix); the outer product is then
-    scattered onto the distinct grid points by exact dyadic identity.
-    """
-    if not delta.is_downward_closed():
-        raise ValueError("level set must be downward closed")
-    d = delta.d
-    acc: dict = {}
+    """Accumulate per-point cubature weights over all levels of the set,
+    scattering each level's node weights onto the distinct grid points."""
+    grid = sample_grid(delta)
+    weights = np.zeros(grid.distinct_points)
     for k in delta.levels:
-        per_dim = []
-        for ki in k:
-            W, _ = surplus_matrix(r, ki)
-            ivec = _integral_vector(r, ki)
-            per_dim.append(W.T.dot(ivec))
-        w = per_dim[0]
-        for u in per_dim[1:]:
-            w = np.multiply.outer(w, u)
-        flat = w.reshape(-1)
-        for key, wt in zip(level_point_keys(k), flat):
-            acc[key] = acc.get(key, 0.0) + float(wt)
-    return CubatureRule(r=r, d=d, delta=delta, weights=acc,
-                        budget=delta.budget())
+        np.add.at(weights, grid.positions(k), _level_weights(r, k).reshape(-1))
+    return CubatureRule(r=r, d=delta.d, delta=delta, grid=grid,
+                        weights=weights, budget=delta.budget())
 
 
 def apply_rule(rule: CubatureRule, f) -> float:
@@ -120,7 +114,7 @@ def export_csv(rule: CubatureRule, fh) -> None:
     """Write `x_1,...,x_d,weight` rows; coordinates as exact decimals."""
     header = ",".join(f"x_{i + 1}" for i in range(rule.d)) + ",weight"
     fh.write(header + "\n")
-    for key in rule._sorted_keys():
-        coords = [_exact_decimal(key[2 * i], key[2 * i + 1])
-                  for i in range(rule.d)]
-        fh.write(",".join(coords) + "," + repr(rule.weights[key]) + "\n")
+    K = rule.grid.K
+    for row, w in zip(rule.grid.lattice().tolist(), rule.weights.tolist()):
+        coords = [_exact_decimal(c, Ki) for c, Ki in zip(row, K)]
+        fh.write(",".join(coords) + "," + repr(w) + "\n")

@@ -13,7 +13,7 @@ the number of distinct grid points is reported separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -190,7 +190,8 @@ class LevelSet:
         return total
 
     def max_level(self) -> tuple:
-        return tuple(max(k[i] for k in self.levels) for i in range(self.d))
+        return tuple(max((k[i] for k in self.levels), default=0)
+                     for i in range(self.d))
 
     def is_downward_closed(self) -> bool:
         for k in self.levels:
@@ -240,6 +241,9 @@ def _enumerate(d: int, b: tuple, cinf: float, xi: float):
 
     if xi >= 0:
         rec(0, 0.0, 0)
+    # rec holds itself through its closure cell; without this the cycle
+    # keeps levels and phis alive until the cyclic collector runs
+    del rec
     order = sorted(range(len(levels)), key=lambda i: levels[i])
     return [levels[i] for i in order], [phis[i] for i in order]
 
@@ -406,94 +410,77 @@ def xi_for_budget(n: int, make_delta) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dyadic point bookkeeping shared by recovery and cubature
+# grid point identity shared by recovery and cubature
 
 
-def reduce_dyadic(j: int, k: int) -> tuple:
-    """Lowest-terms pair (num, exp) of the dyadic rational j/2^k."""
-    if j == 0:
-        return (0, 0)
-    e = k
-    while j % 2 == 0 and e > 0:
-        j //= 2
-        e -= 1
-    return (j, e)
+def _pack(axes, K) -> np.ndarray:
+    """Ids of the tensor product of per-axis lattice coordinates, in C
+    order."""
+    ids = np.zeros((), dtype=np.int64)
+    stride = 1
+    for i in range(len(axes) - 1, -1, -1):
+        ids = np.add.outer(axes[i] * stride, ids)
+        stride *= (1 << K[i]) + 1
+    return ids.reshape(-1)
 
 
-def reduce_dyadic_arrays(j: np.ndarray, k: int):
-    """Vectorized reduce_dyadic for j in [0, 2^k]."""
-    j = np.asarray(j, dtype=np.int64)
-    num = j.copy()
-    exp = np.full_like(j, k)
-    nz = num != 0
-    if k > 0 and nz.any():
-        low = num[nz] & -num[nz]
-        tz = np.frexp(low.astype(np.float64))[1] - 1
-        num[nz] >>= tz
-        exp[nz] -= tz
-    exp[~nz] = 0
-    return num, exp
-
-
-def level_point_keys(k: tuple) -> list:
-    """Keys of all grid points of the full level-k lattice, in C order of
-    the index tensor.  A key is the flattened tuple of per-dimension
-    (num, exp) reduced pairs, an exact identity for the point."""
-    per_dim = []
-    for ki in k:
-        j = np.arange((1 << ki) + 1, dtype=np.int64)
-        num, exp = reduce_dyadic_arrays(j, ki)
-        per_dim.append(np.stack([num, exp], axis=1))
-    d = len(k)
-    shape = [(1 << ki) + 1 for ki in k]
-    total = int(np.prod(shape))
-    cols = np.empty((total, 2 * d), dtype=np.int64)
-    for i in range(d):
-        reps_inner = int(np.prod(shape[i + 1 :])) if i + 1 < d else 1
-        reps_outer = total // (shape[i] * reps_inner)
-        block = np.repeat(per_dim[i], reps_inner, axis=0)
-        tiled = np.tile(block, (reps_outer, 1))
-        cols[:, 2 * i : 2 * i + 2] = tiled
-    return list(map(tuple, cols.tolist()))
-
-
-def key_to_coords(key: tuple) -> tuple:
-    """Coordinates of a point key as floats (exact: dyadic rationals)."""
-    d = len(key) // 2
-    return tuple(key[2 * i] * math.ldexp(1.0, -key[2 * i + 1])
-                 for i in range(d))
-
-
-@dataclass
+@dataclass(frozen=True)
 class SampleGrid:
-    """The sample grid of a level set: (k, s) pairs with s in the full
-    lattice I^d(k), the with-multiplicity budget, and the distinct-point
-    count.  Pairs are materialized lazily (they can be large)."""
+    """The distinct points of a level set's sample grid.
+
+    A point is named by its integer coordinates c_i = j_i 2^{K_i - k_i} on
+    the finest per-axis lattice, K = delta.max_level(), packed in C order
+    over dims 2^{K_i} + 1 into one int64 id.  ids holds every distinct
+    point once, sorted, so row order is lexicographic coordinate order.
+    """
 
     delta: LevelSet
-    budget: int
-    distinct_points: int
-    _pairs: list = field(default=None, repr=False)
+    K: tuple
+    ids: np.ndarray
 
     @property
-    def pairs(self) -> list:
-        if self._pairs is None:
-            out = []
-            for k in self.delta.levels:
-                ranges = [range((1 << ki) + 1) for ki in k]
-                idx = np.indices([len(r) for r in ranges]).reshape(len(k), -1).T
-                out.extend((k, tuple(row)) for row in idx.tolist())
-            self._pairs = out
-        return self._pairs
+    def budget(self) -> int:
+        return self.delta.budget()
 
-    def distinct_coords(self) -> np.ndarray:
-        keys = set()
-        for k in self.delta.levels:
-            keys.update(level_point_keys(k))
-        pts = np.array(sorted(key_to_coords(key) for key in keys))
-        return pts
+    @property
+    def distinct_points(self) -> int:
+        return len(self.ids)
+
+    def positions(self, k) -> np.ndarray:
+        """Row of every node of the full level-k lattice, in C order of the
+        node tensor; k must be a level of the set."""
+        axes = [np.arange((1 << ki) + 1, dtype=np.int64) << (Ki - ki)
+                for ki, Ki in zip(k, self.K)]
+        return np.searchsorted(self.ids, _pack(axes, self.K))
+
+    def lattice(self) -> np.ndarray:
+        """(npts, d) integer coordinates on the finest per-axis lattice."""
+        dims = tuple((1 << Ki) + 1 for Ki in self.K)
+        return np.stack(np.unravel_index(self.ids, dims), axis=1)
+
+    def coords(self) -> np.ndarray:
+        """(npts, d) point coordinates (exact: dyadic rationals)."""
+        return np.ldexp(self.lattice().astype(float),
+                        -np.array(self.K, dtype=np.int64))
 
 
 def sample_grid(delta: LevelSet) -> SampleGrid:
-    return SampleGrid(delta=delta, budget=delta.budget(),
-                      distinct_points=delta.distinct_points())
+    """Distinct points of the grid of a downward-closed level set.
+
+    The new points of level k (odd numerators where k_i >= 1, the two
+    endpoints where k_i = 0) partition the grid, so collecting them needs
+    no deduplication.
+    """
+    if not delta.is_downward_closed():
+        raise ValueError("level set must be downward closed")
+    K = delta.max_level()
+    if math.prod((1 << Ki) + 1 for Ki in K) > np.iinfo(np.int64).max:
+        raise ValueError("grid too fine for int64 point ids: finest "
+                         f"per-axis levels {K}")
+    parts = [np.zeros(0, dtype=np.int64)]
+    for k in delta.levels:
+        axes = [np.array([0, 1 << Ki], dtype=np.int64) if ki == 0 else
+                np.arange(1, 1 << ki, 2, dtype=np.int64) << (Ki - ki)
+                for ki, Ki in zip(k, K)]
+        parts.append(_pack(axes, K))
+    return SampleGrid(delta=delta, K=K, ids=np.sort(np.concatenate(parts)))

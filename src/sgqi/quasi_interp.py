@@ -34,7 +34,7 @@ __all__ = [
     "Mask", "mask_for_order", "BoundaryExtendedSampler", "extend",
     "a_coeff", "c_coeff_even", "c_coeff_odd", "a_weights", "surplus_weights",
     "SurplusLevel", "q_level", "apply_Q", "coeff_shift_bounds",
-    "sample_matrix", "surplus_matrix", "vectorize_handle",
+    "sample_matrix", "surplus_matrix", "vectorize_handle", "contract",
 ]
 
 _MASKS = {
@@ -347,6 +347,14 @@ def _apply_along_axis(W, T: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def contract(T: np.ndarray, mats) -> np.ndarray:
+    """Apply mats[i] along axis i of the node tensor T, one coordinate at a
+    time (dimension 1 outermost)."""
+    for axis in reversed(range(T.ndim)):
+        T = _apply_along_axis(mats[axis], T, axis)
+    return T
+
+
 @dataclass
 class SurplusLevel:
     """Dense surplus coefficients of one level: entry [i_1,...,i_d] is
@@ -356,25 +364,9 @@ class SurplusLevel:
     s_min: tuple
     coeffs: np.ndarray
 
-    def items(self):
-        for idx in np.ndindex(*self.coeffs.shape):
-            s = tuple(self.s_min[i] + idx[i] for i in range(len(idx)))
-            yield s, float(self.coeffs[idx])
-
-    def __getitem__(self, s):
-        if isinstance(s, int):
-            s = (s,)
-        idx = tuple(si - lo for si, lo in zip(s, self.s_min))
-        return float(self.coeffs[idx])
-
 
 class SurplusField(dict):
     """Map level vector -> SurplusLevel."""
-
-    def iter_entries(self):
-        for k in sorted(self.keys()):
-            for s, c in self[k].items():
-                yield k, s, c
 
 
 def q_level(f, r: int, k) -> SurplusLevel:
@@ -382,16 +374,10 @@ def q_level(f, r: int, k) -> SurplusLevel:
     univariate surplus functional one coordinate at a time (dimension 1
     outermost)."""
     k = bspline._as_level(k)
-    d = len(k)
-    fv = vectorize_handle(f, d)
-    T = _node_tensor(fv, k)
-    s_min = []
-    for axis in range(d - 1, -1, -1):
-        W, lo = surplus_matrix(r, k[axis])
-        T = _apply_along_axis(W, T, axis)
-    for ki in k:
-        s_min.append(bspline.shift_bounds(r, ki)[0])
-    return SurplusLevel(k=k, s_min=tuple(s_min), coeffs=T)
+    T = _node_tensor(vectorize_handle(f, len(k)), k)
+    T = contract(T, [surplus_matrix(r, ki)[0] for ki in k])
+    s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
+    return SurplusLevel(k=k, s_min=s_min, coeffs=T)
 
 
 def apply_Q(f, r: int, k, x) -> float | np.ndarray:
@@ -399,19 +385,14 @@ def apply_Q(f, r: int, k, x) -> float | np.ndarray:
     (npts, d) array), computed directly from the sample functionals."""
     k = bspline._as_level(k)
     d = len(k)
-    fv = vectorize_handle(f, d)
-    T = _node_tensor(fv, k)
-    s_min = []
-    for axis in range(d - 1, -1, -1):
-        W, lo = sample_matrix(r, k[axis])
-        T = _apply_along_axis(W, T, axis)
-    for ki in k:
-        s_min.append(coeff_shift_bounds(r, ki)[0])
+    T = _node_tensor(vectorize_handle(f, d), k)
+    T = contract(T, [sample_matrix(r, ki)[0] for ki in k])
+    s_min = tuple(coeff_shift_bounds(r, ki)[0] for ki in k)
     X = np.asarray(x, dtype=float)
     single = X.ndim <= 1
     X = np.atleast_2d(X)
     if X.shape[1] != d:
         raise ValueError("point dimension mismatch")
     # Q_k expands in integer shifts for every order
-    vals = bspline.eval_expansion(r, k, tuple(s_min), T, X, den=1)
+    vals = bspline.eval_expansion(r, k, s_min, T, X, den=1)
     return float(vals[0]) if single else vals

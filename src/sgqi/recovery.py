@@ -3,22 +3,21 @@ and evaluate the reconstruction anywhere in the cube.
 
 The reconstruction is sum over levels k in Delta of the level detail
 q_k(f), each stored as a dense per-level coefficient array.  Building
-walks the levels of the (downward closed) set; sample values are memoized
-across levels by exact dyadic identity so the number of distinct function
-evaluations is auditable.
+samples f once at every distinct point of the (downward closed) set's grid,
+so the number of function evaluations is auditable, then walks the levels
+gathering each level's node values from those samples.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bspline
-from .grids import LevelSet, level_point_keys, key_to_coords
-from .quasi_interp import (SurplusField, SurplusLevel, _apply_along_axis,
+from .grids import LevelSet, sample_grid
+from .quasi_interp import (SurplusField, SurplusLevel, contract,
                            surplus_matrix, vectorize_handle)
 
 # relative cutoff below which a whole level's coefficients count as noise
@@ -37,42 +36,32 @@ class Reconstruction:
     surplus: SurplusField
     sample_budget: int
     declared_budget: int
-    spec: object = None
 
     def max_level(self):
         return self.delta.max_level()
 
 
-def build(f, delta: LevelSet, r: int, spec=None) -> Reconstruction:
+def build(f, delta: LevelSet, r: int) -> Reconstruction:
     """Compute all surplus coefficients of f over the level set.
 
     f is evaluated only at dyadic grid points of G(Delta); each distinct
-    point once (sample_budget reports how many).
+    point once (sample_budget reports how many).  Non-finite samples are
+    rejected with ValueError.
     """
-    if not delta.is_downward_closed():
-        raise ValueError("level set must be downward closed")
-    d = delta.d
-    fv = vectorize_handle(f, d)
-    cache: dict = {}
+    grid = sample_grid(delta)
+    vals = vectorize_handle(f, delta.d)(grid.coords())
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise ValueError(f"{bad} of {len(vals)} samples are not finite")
     surplus = SurplusField()
     for k in delta.levels:
-        keys = level_point_keys(k)
-        missing = [key for key in keys if key not in cache]
-        if missing:
-            coords = np.array([key_to_coords(key) for key in missing])
-            vals = fv(coords)
-            cache.update(zip(missing, vals.tolist()))
-        shape = [(1 << ki) + 1 for ki in k]
-        T = np.fromiter((cache[key] for key in keys), dtype=float,
-                        count=len(keys)).reshape(shape)
-        for axis in range(d - 1, -1, -1):
-            W, _ = surplus_matrix(r, k[axis])
-            T = _apply_along_axis(W, T, axis)
+        T = vals[grid.positions(k)].reshape([(1 << ki) + 1 for ki in k])
+        T = contract(T, [surplus_matrix(r, ki)[0] for ki in k])
         s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
         surplus[k] = SurplusLevel(k=k, s_min=s_min, coeffs=T)
-    return Reconstruction(r=r, d=d, delta=delta, surplus=surplus,
-                          sample_budget=len(cache),
-                          declared_budget=delta.budget(), spec=spec)
+    return Reconstruction(r=r, d=delta.d, delta=delta, surplus=surplus,
+                          sample_budget=grid.distinct_points,
+                          declared_budget=delta.budget())
 
 
 def evaluate_batch(rec: Reconstruction, points, chunk: int = 1 << 16,

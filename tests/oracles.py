@@ -3,7 +3,8 @@
 Everything here is written from the textbook definitions, on purpose not
 sharing code with the package: Cox-de Boor recursion for the splines, the
 classical Faber (hat-function) surplus for order 2, brute-force box scans
-for the level sets, and a breakpoint scan for the budget inversion.
+for the level sets, a breakpoint scan for the budget inversion, and grid
+points identified by exact fractions.
 """
 
 from fractions import Fraction
@@ -76,18 +77,43 @@ def box_scan_levels(d: int, b, cinf: float, xi: float, kmax: int = 64):
     return sorted(out)
 
 
-def distinct_dyadic_points(levels) -> int:
-    """Count distinct points of the union of dyadic lattices by literally
-    collecting all reduced fractions."""
+def level_lattice(k) -> list:
+    """Points of the full level-k dyadic lattice as tuples of reduced
+    fractions, in C order of the node tensor."""
+    grid = [()]
+    for ki in k:
+        grid = [g + (Fraction(j, 1 << ki),) for g in grid
+                for j in range((1 << ki) + 1)]
+    return grid
+
+
+def dyadic_point_set(levels) -> list:
+    """Distinct points of the union of dyadic lattices, sorted, by
+    literally collecting all reduced fractions."""
     seen = set()
     for k in levels:
-        axes = [[Fraction(j, 1 << ki) for j in range((1 << ki) + 1)]
-                for ki in k]
-        grid = [()]
-        for ax in axes:
-            grid = [g + (v,) for g in grid for v in ax]
-        seen.update(grid)
-    return len(seen)
+        seen.update(level_lattice(k))
+    return sorted(seen)
+
+
+def distinct_dyadic_points(levels) -> int:
+    return len(dyadic_point_set(levels))
+
+
+def dict_weights(levels, level_weights):
+    """Cubature weights scattered onto the distinct points through a dict
+    keyed by exact point identity, levels in the given order.
+
+    level_weights(k) gives the node weights of level k on its node tensor.
+    Returns the sorted points and their weights.
+    """
+    acc = {}
+    for k in levels:
+        flat = np.asarray(level_weights(k)).reshape(-1)
+        for key, wt in zip(level_lattice(k), flat):
+            acc[key] = acc.get(key, 0.0) + float(wt)
+    keys = sorted(acc)
+    return keys, np.array([acc[key] for key in keys])
 
 
 def xi_scan(n: int, make_delta, xi_max: float, step: float = 1.0 / 64.0):

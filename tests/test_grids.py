@@ -1,12 +1,15 @@
+import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgqi import grids
-from oracles import box_scan_levels, distinct_dyadic_points, xi_scan
+from sgqi import cubature, grids
+from oracles import (box_scan_levels, dict_weights, distinct_dyadic_points,
+                     dyadic_point_set, level_lattice, xi_scan)
 
 
 MIXED = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
@@ -95,6 +98,18 @@ def test_distinct_points_against_literal_union():
         assert delta.distinct_points() == distinct_dyadic_points(delta.levels)
     delta = grids.delta_energy(3.0, ENERGY, True)
     assert delta.distinct_points() == distinct_dyadic_points(delta.levels)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a cycle would keep every enumerated level list alive until the
+    # cyclic collector happens to run
+    gc.collect()
+    gc.disable()
+    try:
+        grids.delta_mixed(6.0, MIXED)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_downward_closure():
@@ -263,22 +278,14 @@ def test_levelsets_nest_in_xi(xi1, xi2):
     assert grids.delta_mixed(lo, MIXED).issubset(grids.delta_mixed(hi, MIXED))
 
 
-def test_reduce_dyadic():
-    assert grids.reduce_dyadic(0, 3) == (0, 0)
-    assert grids.reduce_dyadic(4, 3) == (1, 1)
-    assert grids.reduce_dyadic(8, 3) == (1, 0)
-    assert grids.reduce_dyadic(5, 3) == (5, 3)
-    j = np.arange(9)
-    num, exp = grids.reduce_dyadic_arrays(j, 3)
-    for i in range(9):
-        assert (num[i], exp[i]) == grids.reduce_dyadic(int(j[i]), 3)
-
-
 def test_level_point_keys_roundtrip():
-    keys = grids.level_point_keys((1, 2))
+    delta = grids.LevelSet(d=2, levels=tuple(np.ndindex(2, 3)), xi=0.0,
+                           family="box")
+    sg = grids.sample_grid(delta)
+    keys = sg.positions((1, 2))
     assert len(keys) == 3 * 5
-    assert len(set(keys)) == 15
-    coords = [grids.key_to_coords(key) for key in keys]
+    assert len(set(keys.tolist())) == 15
+    coords = [tuple(p) for p in sg.coords()[keys].tolist()]
     # C order: second coordinate varies fastest
     assert coords[0] == (0.0, 0.0)
     assert coords[1] == (0.0, 0.25)
@@ -288,7 +295,48 @@ def test_level_point_keys_roundtrip():
 def test_sample_grid_counts():
     delta = grids.delta_mixed(3.0, MIXED)
     sg = grids.sample_grid(delta)
-    assert sg.budget == delta.budget() == len(sg.pairs)
-    pts = sg.distinct_coords()
+    assert sg.budget == delta.budget() == sum(
+        len(sg.positions(k)) for k in delta.levels)
+    pts = sg.coords()
     assert pts.shape == (delta.distinct_points(), 2)
     assert len(np.unique(pts, axis=0)) == len(pts)
+
+
+@st.composite
+def downward_closed_sets(draw):
+    d = draw(st.integers(1, 4))
+    top = st.integers(0, 3 if d <= 2 else 2)
+    corners = draw(st.lists(st.tuples(*[top] * d), min_size=1, max_size=4))
+    levels = {tuple(int(v) for v in k) for c in corners
+              for k in np.ndindex(*[ci + 1 for ci in c])}
+    return grids.LevelSet(d=d, levels=tuple(sorted(levels)), xi=0.0,
+                          family="random")
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4))
+def test_point_identity_matches_oracles(delta, r):
+    sg = grids.sample_grid(delta)
+    pts = dyadic_point_set(delta.levels)
+    assert [tuple(Fraction(c, 1 << Ki) for c, Ki in zip(row, sg.K))
+            for row in sg.lattice().tolist()] == pts
+    coords = sg.coords()
+    for k in delta.levels:
+        nodes = [[float(v) for v in p] for p in level_lattice(k)]
+        assert np.array_equal(coords[sg.positions(k)], np.array(nodes))
+    rule = cubature.assemble_weights(delta, r)
+    keys, want = dict_weights(delta.levels,
+                              lambda k: cubature._level_weights(r, k))
+    assert keys == pts
+    assert np.array_equal(rule.weights, want)
+
+
+def test_sample_grid_rejects_int64_overflow():
+    # finest lattice (2^8 + 1)^8 > 2^63 although the grid itself is tiny
+    d = 8
+    levels = {(0,) * d} | {tuple(j if i == axis else 0 for i in range(d))
+                           for axis in range(d) for j in range(1, 9)}
+    delta = grids.LevelSet(d=d, levels=tuple(sorted(levels)), xi=0.0,
+                           family="axes")
+    with pytest.raises(ValueError, match="int64"):
+        grids.sample_grid(delta)

@@ -96,6 +96,12 @@ def test_input_validation():
         recovery.evaluate_batch(rec, np.array([[-0.1, 0.5]]))
 
 
+def test_rejects_non_finite_samples():
+    f = lambda X: np.where(X[:, 0] > 0.5, np.nan, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        recovery.build(f, grids.delta_mixed(4.0, MIXED), 4)
+
+
 def test_evaluate_matches_batch():
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     rng = np.random.default_rng(7)
