@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import recovery
 from .grids import SmoothnessSpec
@@ -134,6 +133,10 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
 
     npts = _FALLBACK_POINTS if points is None else int(points)
     if method == "halton":
+        # scipy.stats takes most of the package's import time; only
+        # Halton estimation needs it
+        from scipy.stats import qmc
+
         X = qmc.Halton(d=rec.d, scramble=True,
                        seed=seed).random(npts)
     elif method == "mc":

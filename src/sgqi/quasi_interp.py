@@ -34,7 +34,8 @@ __all__ = [
     "Mask", "mask_for_order", "BoundaryExtendedSampler", "extend",
     "a_coeff", "c_coeff_even", "c_coeff_odd", "a_weights", "surplus_weights",
     "SurplusLevel", "q_level", "apply_Q", "coeff_shift_bounds",
-    "sample_matrix", "surplus_matrix", "vectorize_handle", "contract",
+    "sample_matrix", "surplus_matrix", "refine_matrix", "vectorize_handle",
+    "contract",
 ]
 
 _MASKS = {
@@ -299,37 +300,74 @@ def sample_matrix(r: int, k: int):
     return _table_matrix(rows, k), lo
 
 
+@lru_cache(maxsize=None)
+def refine_matrix(r: int, k: int):
+    """CSR matrix taking the coefficients of a level-k expansion (shifts
+    of shift_bounds(r, k)) to those of the same function on [0,1] at level
+    k + 1, by the two-scale relation
+    M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2).
+
+    Shift s feeds t = 2s + j - r/2 for even r and t = 2s + 2j - r for odd r
+    (half-integer scheme).  Targets outside shift_bounds(r, k + 1) vanish
+    on [0,1], the right-open order-1 box at x = 1 included, and are
+    dropped.
+    """
+    lo, hi = bspline.shift_bounds(r, k)
+    t_lo, t_hi = bspline.shift_bounds(r, k + 1)
+    s = np.arange(lo, hi + 1)[:, None]
+    j = np.arange(r + 1)[None, :]
+    t = 2 * s + (j - r // 2 if r % 2 == 0 else 2 * j - r)
+    w = np.array([math.comb(r, i) for i in range(r + 1)]) / (1 << (r - 1))
+    keep = (t >= t_lo) & (t <= t_hi)
+    cols = np.broadcast_to(s - lo, t.shape)[keep]
+    data = np.broadcast_to(w[None, :], t.shape)[keep]
+    return sparse.csr_matrix((data, (t[keep] - t_lo, cols)),
+                             shape=(t_hi - t_lo + 1, hi - lo + 1))
+
+
+def _one_per_row(y, n: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape == (n, 1):
+        y = y.reshape(n)
+    if y.shape != (n,):
+        raise ValueError(f"f returned shape {y.shape} for {n} points")
+    return y
+
+
 def vectorize_handle(f, d: int):
     """Adapt a user function handle to the internal (npts, d) -> (npts,)
-    calling convention, probing cheaply which signature it supports."""
-    probe = np.array([[0.25] * d, [0.5] * d])
-    try:
-        y = np.asarray(f(probe), dtype=float)
-        if y.shape == (2,):
-            return lambda X: np.asarray(f(X), dtype=float)
-        if d == 1 and y.shape == (2, 1):
-            return lambda X: np.asarray(f(X), dtype=float).reshape(-1)
-    except Exception:
-        pass
-    try:
-        y = np.asarray(f(*(probe[:, i] for i in range(d))), dtype=float)
-        if y.shape == (2,):
-            return lambda X: np.asarray(f(*(X[:, i] for i in range(d))),
-                                        dtype=float)
-    except Exception:
-        pass
-    try:
-        float(f(*probe[0]))
+    calling convention.
 
-        def rowwise_star(X):
-            return np.array([float(f(*row)) for row in X])
+    f may take the (npts, d) array, one array per coordinate, d scalars or
+    one row.  The convention is found on the first input f is really asked
+    for, trying each in that order, so f is called on no other points.
+    Every result must hold one value per input row, else ValueError.
+    """
+    tries = [lambda X: f(X), lambda X: f(*X.T),
+             lambda X: [f(*row) for row in X]]
+    if d > 1:
+        tries.append(lambda X: [f(row) for row in X])
+    found = None
 
-        return rowwise_star
-    except Exception:
-        def rowwise(X):
-            return np.array([float(f(row if d > 1 else row[0])) for row in X])
+    def fv(X):
+        nonlocal found
+        X = np.asarray(X, dtype=float)
+        if found is not None:
+            return _one_per_row(found(X), len(X))
+        first = None
+        for call in tries:
+            try:
+                y = _one_per_row(call(X), len(X))
+            except Exception as exc:  # f does not take this convention
+                first = first or exc
+                continue
+            found = call
+            return y
+        raise ValueError("f accepts none of the calling conventions "
+                         "(npts, d) array, d arrays, d scalars or one row; "
+                         f"as an (npts, d) array: {first}") from first
 
-        return rowwise
+    return fv
 
 
 def _node_tensor(fv, k: tuple) -> np.ndarray:

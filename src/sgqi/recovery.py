@@ -5,25 +5,24 @@ The reconstruction is sum over levels k in Delta of the level detail
 q_k(f), each stored as a dense per-level coefficient array.  Building
 samples f once at every distinct point of the (downward closed) set's grid,
 so the number of function evaluations is auditable, then walks the levels
-gathering each level's node values from those samples.
+gathering each level's node values from those samples.  Evaluation sums
+over level groups: levels that differ along one axis are merged exactly
+into one expansion on the finest of them by B-spline refinement.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bspline
 from .grids import LevelSet, sample_grid
-from .quasi_interp import (SurplusField, SurplusLevel, contract,
-                           surplus_matrix, vectorize_handle)
-
-# relative cutoff below which a whole level's coefficients count as noise
-# (they arise when a functional with weights summing to 0 exactly in
-# rationals is applied, in floats, to samples constant in a coordinate)
-SKIP_TOL = 1e-14
+from .quasi_interp import (SurplusField, SurplusLevel, _apply_along_axis,
+                           contract, refine_matrix, surplus_matrix,
+                           vectorize_handle)
 
 
 @dataclass
@@ -64,14 +63,49 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
                           declared_budget=delta.budget())
 
 
-def evaluate_batch(rec: Reconstruction, points, chunk: int = 1 << 16,
-                   skip_tol: float = SKIP_TOL) -> np.ndarray:
+def _level_groups(rec: Reconstruction):
+    """Yield the reconstruction as a few expansions (k, s_min, coeffs),
+    one per level group, whose sum equals sum_k q_k on [0,1]^d exactly.
+
+    A group is the levels that agree off one axis, the axis leaving the
+    fewest groups.  Along it the group is accumulated Horner-style from
+    its lowest level up to its finest one K, acc = R_k acc + c_{k+1}, with
+    R_k the two-scale refinement quasi_interp.refine_matrix, so each
+    group is refined once and yields the level-K expansion.  Groups are
+    built one at a time as the caller iterates.
+    """
+    surplus = rec.surplus
+    if not surplus:
+        return
+
+    def rest(k, axis):
+        return k[:axis] + k[axis + 1:]
+
+    axis = min(range(rec.d),
+               key=lambda a: len({rest(k, a) for k in surplus}))
+    groups = {}
+    # lexicographic order sorts each group by its level along the axis
+    for k in sorted(surplus):
+        groups.setdefault(rest(k, axis), []).append(k)
+    for ks in groups.values():
+        acc = surplus[ks[0]].coeffs
+        cur = ks[0][axis]
+        for k in ks[1:]:
+            for ka in range(cur, k[axis]):
+                acc = _apply_along_axis(refine_matrix(rec.r, ka), acc, axis)
+            cur = k[axis]
+            acc = acc + surplus[k].coeffs
+        top = surplus[ks[-1]]
+        yield top.k, top.s_min, acc
+
+
+def evaluate_batch(rec: Reconstruction, points,
+                   chunk: int = 1 << 16) -> np.ndarray:
     """Reconstruction values at many points (shape (npts, d) or a flat
     array for d = 1); order matches the input.
 
-    Levels whose coefficients are uniformly below skip_tol relative to
-    the largest coefficient are skipped (they contribute only rounding
-    noise); pass skip_tol=0 to force summing everything.
+    Every level contributes; a non-finite coefficient gives non-finite
+    values wherever its spline reaches.
     """
     X = np.asarray(points, dtype=float)
     if X.size == 0:
@@ -83,20 +117,13 @@ def evaluate_batch(rec: Reconstruction, points, chunk: int = 1 << 16,
     if (X < 0.0).any() or (X > 1.0).any():
         raise ValueError("evaluation point outside domain")
     den = bspline.shift_denominator(rec.r)
-    scale = max((float(np.max(np.abs(lvl.coeffs)))
-                 for lvl in rec.surplus.values()), default=0.0)
-    cutoff = skip_tol * scale
-    active = [lvl for lvl in rec.surplus.values()
-              if float(np.max(np.abs(lvl.coeffs))) > cutoff]
     out = np.zeros(X.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        sl = slice(start, min(start + chunk, X.shape[0]))
-        Xc = X[sl]
-        acc = np.zeros(Xc.shape[0])
-        for lvl in active:
-            acc += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
-                                          lvl.coeffs, Xc, den=den)
-        out[sl] = acc
+    # groups outside, chunks inside: one collapsed array alive at a time
+    for k, s_min, coeffs in _level_groups(rec):
+        for start in range(0, X.shape[0], chunk):
+            sl = slice(start, min(start + chunk, X.shape[0]))
+            out[sl] += bspline.eval_expansion(rec.r, k, s_min, coeffs,
+                                              X[sl], den=den)
     return out
 
 
@@ -135,23 +162,49 @@ def to_json_dict(rec: Reconstruction) -> dict:
     }
 
 
+def _dump_level(entry, r: int, d: int) -> SurplusLevel:
+    k = tuple(entry["k"])
+    if len(k) != d or any(not isinstance(v, (int, np.integer)) or v < 0
+                          for v in k):
+        raise ValueError(f"level {list(k)} is not {d} nonnegative integers")
+    k = tuple(int(v) for v in k)
+    bounds = [bspline.shift_bounds(r, ki) for ki in k]
+    s_min = tuple(lo for lo, _ in bounds)
+    if tuple(entry["s_min"]) != s_min:
+        raise ValueError(f"s_min of level {list(k)} does not match its "
+                         "shift bounds")
+    shape = tuple(hi - lo + 1 for lo, hi in bounds)
+    if tuple(entry["shape"]) != shape:
+        raise ValueError(f"shape of level {list(k)} is not {list(shape)}")
+    coeffs = np.array(entry["coeffs"], dtype=float)
+    if coeffs.shape != (math.prod(shape),):
+        raise ValueError(f"level {list(k)} holds {coeffs.size} coefficients,"
+                         f" not {math.prod(shape)}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"level {list(k)} has non-finite coefficients")
+    return SurplusLevel(k=k, s_min=s_min, coeffs=coeffs.reshape(shape))
+
+
 def from_json_dict(obj: dict) -> Reconstruction:
+    """Reconstruction from a dump; ValueError unless every level matches
+    its shift bounds, every coefficient is finite and the level set is
+    downward closed."""
     if obj.get("format") != _FORMAT:
         raise ValueError("not a reconstruction dump")
     if obj.get("version") != _VERSION:
         raise ValueError("unsupported dump version")
+    r, d = obj["r"], obj["d"]
     surplus = SurplusField()
-    levels = []
     for entry in obj["levels"]:
-        k = tuple(entry["k"])
-        levels.append(k)
-        coeffs = np.array(entry["coeffs"], dtype=float).reshape(entry["shape"])
-        surplus[k] = SurplusLevel(k=k, s_min=tuple(entry["s_min"]),
-                                  coeffs=coeffs)
-    delta = LevelSet(d=obj["d"], levels=tuple(sorted(levels)),
+        lvl = _dump_level(entry, r, d)
+        if lvl.k in surplus:
+            raise ValueError(f"level {list(lvl.k)} appears twice")
+        surplus[lvl.k] = lvl
+    delta = LevelSet(d=d, levels=tuple(sorted(surplus)),
                      xi=obj["xi"], family=obj["family"])
-    return Reconstruction(r=obj["r"], d=obj["d"], delta=delta,
-                          surplus=surplus,
+    if not delta.is_downward_closed():
+        raise ValueError("level set must be downward closed")
+    return Reconstruction(r=r, d=d, delta=delta, surplus=surplus,
                           sample_budget=obj["sample_budget"],
                           declared_budget=obj["declared_budget"])
 

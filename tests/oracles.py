@@ -4,7 +4,9 @@ Everything here is written from the textbook definitions, on purpose not
 sharing code with the package: Cox-de Boor recursion for the splines, the
 classical Faber (hat-function) surplus for order 2, brute-force box scans
 for the level sets, a breakpoint scan for the budget inversion, and grid
-points identified by exact fractions.
+points identified by exact fractions.  The one exception is the per-level
+evaluation kernel, the path grouped evaluation replaced, kept here as its
+reference; it calls the package's single-level bspline.eval_expansion.
 """
 
 from fractions import Fraction
@@ -114,6 +116,39 @@ def dict_weights(levels, level_weights):
             acc[key] = acc.get(key, 0.0) + float(wt)
     keys = sorted(acc)
     return keys, np.array([acc[key] for key in keys])
+
+
+# --------------------------------------------------------------------------
+# per-level evaluation of a reconstruction (the kernel before level groups)
+
+# relative cutoff below which a whole level's coefficients count as noise
+# (they arise when a functional with weights summing to 0 exactly in
+# rationals is applied, in floats, to samples constant in a coordinate)
+SKIP_TOL = 1e-14
+
+
+def per_level_evaluate(rec, X, chunk: int = 1 << 16,
+                       skip_tol: float = SKIP_TOL) -> np.ndarray:
+    """Sum of one single-level expansion per level at the (npts, d)
+    points X.  Levels whose coefficients are uniformly below skip_tol
+    relative to the largest coefficient are skipped; skip_tol=0 sums all.
+    """
+    from sgqi import bspline
+
+    X = np.asarray(X, dtype=float)
+    den = bspline.shift_denominator(rec.r)
+    scale = max((float(np.max(np.abs(lvl.coeffs)))
+                 for lvl in rec.surplus.values()), default=0.0)
+    cutoff = skip_tol * scale
+    active = [lvl for lvl in rec.surplus.values()
+              if float(np.max(np.abs(lvl.coeffs))) > cutoff]
+    out = np.zeros(X.shape[0])
+    for start in range(0, X.shape[0], chunk):
+        sl = slice(start, min(start + chunk, X.shape[0]))
+        for lvl in active:
+            out[sl] += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
+                                              lvl.coeffs, X[sl], den=den)
+    return out
 
 
 def xi_scan(n: int, make_delta, xi_max: float, step: float = 1.0 / 64.0):

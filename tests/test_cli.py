@@ -277,3 +277,11 @@ def test_hash_tracks_experiment_not_output(mixed_cfg, tmp_path):
     h = lambda r: parse_csv(r.stdout)[1][0][-1]
     assert h(base) == h(other_out)
     assert h(base) != h(changed)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates import time and only Halton estimation uses it
+    code = "import sys, sgqi.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

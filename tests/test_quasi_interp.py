@@ -208,3 +208,43 @@ def test_vectorize_handle_signatures():
         np.testing.assert_allclose(fv(X), want)
     g = qi.vectorize_handle(lambda x: 3.0 * x, 1)
     np.testing.assert_allclose(g(np.array([[0.5]])), [1.5])
+
+
+def test_vectorize_handle_checks_row_count():
+    X = np.random.default_rng(0).random((5, 2))
+    with pytest.raises(ValueError, match="shape"):
+        qi.vectorize_handle(lambda A: A[:2, 0], 2)(X)
+    # a row function mistaken for a vectorized one on two rows is caught
+    # on the next call instead of returning values for the wrong rows
+    fv = qi.vectorize_handle(lambda x: x[0] * x[1], 2)
+    fv(X[:2])
+    with pytest.raises(ValueError, match="shape"):
+        fv(X)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_refinement_reproduces_level(r):
+    # refining level k three times along one axis gives the same function
+    # on [0,1]^2, the right edge x = 1 (where the order-1 box is open)
+    # included
+    rng = np.random.default_rng(r)
+    k = (1, 2)
+    bounds = [bspline.shift_bounds(r, ki) for ki in k]
+    coeffs = rng.uniform(-1.0, 1.0, [hi - lo + 1 for lo, hi in bounds])
+    s_min = tuple(lo for lo, _ in bounds)
+    knots = np.arange(65) / 64.0
+    X = np.vstack([rng.random((40, 2)), rng.choice(knots, size=(40, 2)),
+                   [[1.0, 1.0], [1.0, 0.3], [0.3, 1.0], [0.0, 1.0],
+                    [1.0, 0.0], [0.0, 0.0]]])
+    want = bspline.eval_expansion(r, k, s_min, coeffs, X)
+    for axis in range(2):
+        T, kk = coeffs, list(k)
+        for _ in range(3):
+            T = qi._apply_along_axis(qi.refine_matrix(r, kk[axis]), T, axis)
+            kk[axis] += 1
+        s_ref = tuple(bspline.shift_bounds(r, ki)[0] for ki in kk)
+        assert T.shape == tuple(bspline.shift_bounds(r, ki)[1] - lo + 1
+                                for ki, lo in zip(kk, s_ref))
+        got = bspline.eval_expansion(r, tuple(kk), s_ref, T, X)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))

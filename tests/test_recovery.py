@@ -1,7 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgqi import grids, quasi_interp as qi, recovery
+from sgqi import bspline, grids, quasi_interp as qi, recovery
+from oracles import per_level_evaluate
+from test_grids import downward_closed_sets
 
 
 def box_set(kmax):
@@ -75,12 +81,25 @@ def test_sample_accounting():
         return smooth2(X)
 
     rec = recovery.build(f, delta, 2)
-    # first call is the 2-point signature probe, the rest are grid samples
-    sampled = np.concatenate(calls[1:])
+    # f is called on grid samples only: no signature probe
+    sampled = np.concatenate(calls)
     assert rec.sample_budget == delta.distinct_points() == len(sampled)
     assert len(np.unique(sampled, axis=0)) == len(sampled)
     assert rec.declared_budget == delta.budget()
     assert rec.max_level() == delta.max_level()
+
+
+def test_row_function_handle_builds_or_raises_value_error():
+    # indexing a row works on the (npts, 2) array too, with the wrong
+    # shape: it must fall through to the row convention, not IndexError
+    delta = grids.delta_mixed(3.0, MIXED)
+    rec = recovery.build(lambda x: x[0] * x[1], delta, 4)
+    want = recovery.build(lambda X: X[:, 0] * X[:, 1], delta, 4)
+    for k in delta.levels:
+        np.testing.assert_array_equal(rec.surplus[k].coeffs,
+                                      want.surplus[k].coeffs)
+    with pytest.raises(ValueError, match="calling conventions"):
+        recovery.build(lambda x: x[5], delta, 4)
 
 
 def test_input_validation():
@@ -125,9 +144,39 @@ def test_skip_tolerance_only_drops_noise():
     rec = recovery.build(lambda X: X[:, 0], grids.delta_mixed(4.0, MIXED), 2)
     rng = np.random.default_rng(3)
     X = rng.uniform(0.0, 1.0, size=(50, 2))
-    full = recovery.evaluate_batch(rec, X, skip_tol=0.0)
-    pruned = recovery.evaluate_batch(rec, X)
+    full = per_level_evaluate(rec, X, skip_tol=0.0)
+    pruned = per_level_evaluate(rec, X)
     np.testing.assert_allclose(pruned, full, atol=1e-12)
+
+
+def _random_reconstruction(delta, r, rng):
+    surplus = qi.SurplusField()
+    for k in delta.levels:
+        bounds = [bspline.shift_bounds(r, ki) for ki in k]
+        surplus[k] = qi.SurplusLevel(
+            k=k, s_min=tuple(lo for lo, _ in bounds),
+            coeffs=rng.uniform(-1.0, 1.0, [hi - lo + 1 for lo, hi in bounds]))
+    return recovery.Reconstruction(r=r, d=delta.d, delta=delta,
+                                   surplus=surplus, sample_budget=0,
+                                   declared_budget=delta.budget())
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
+    rng = np.random.default_rng(seed)
+    rec = _random_reconstruction(delta, r, rng)
+    # random points, the corners and knots of the finest half-integer mesh
+    top = max(delta.max_level()) + 1
+    knots = np.arange((1 << top) + 1) / (1 << top)
+    X = np.vstack([rng.random((20, delta.d)), np.zeros((1, delta.d)),
+                   np.ones((1, delta.d)),
+                   rng.choice(knots, size=(20, delta.d)),
+                   rng.choice([0.0, 1.0], size=(8, delta.d))])
+    want = per_level_evaluate(rec, X, skip_tol=0.0)
+    got = recovery.evaluate_batch(rec, X)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_roundtrip_serialization(tmp_path):
@@ -145,6 +194,50 @@ def test_roundtrip_serialization(tmp_path):
     X = rng.uniform(0.0, 1.0, size=(10, 2))
     np.testing.assert_array_equal(recovery.evaluate_batch(back, X),
                                   recovery.evaluate_batch(rec, X))
+
+
+def _nan_dump():
+    # f = 1: R(0.1, 0.1) is 1, carried by the level-(0, 0) spline at shift 0
+    rec = recovery.build(lambda X: np.ones(len(X)),
+                         grids.delta_mixed(4.0, MIXED), 4)
+    rec.surplus[(0, 0)].coeffs[1, 1] = np.nan
+    return rec, json.loads(json.dumps(recovery.to_json_dict(rec)))
+
+
+def test_nan_coefficient_is_not_skipped_and_dump_is_rejected():
+    rec, dump = _nan_dump()
+    assert np.isnan(recovery.evaluate(rec, [0.1, 0.1]))
+    with pytest.raises(ValueError, match="non-finite"):
+        recovery.from_json_dict(dump)
+
+
+def _corrupt(dump, how):
+    levels = dump["levels"]
+    at = next(i for i, e in enumerate(levels) if e["k"] == [1, 0])
+    entry = levels[at]
+    if how == "shape":
+        entry["shape"] = entry["shape"][::-1]   # same count, wrong axes
+    elif how == "count":
+        entry["coeffs"].append(0.0)
+    elif how == "s_min":
+        entry["s_min"][0] -= 1
+    elif how == "length":
+        entry["k"] = [1, 0, 0]
+    elif how == "negative":
+        entry["k"] = [-1, 0]
+    elif how == "hole":
+        del levels[at]
+    return dump
+
+
+@pytest.mark.parametrize("how", ["shape", "count", "s_min", "length",
+                                 "negative", "hole"])
+def test_load_rejects_malformed_levels(how):
+    rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 4)
+    good = recovery.to_json_dict(rec)
+    recovery.from_json_dict(json.loads(json.dumps(good)))
+    with pytest.raises(ValueError):
+        recovery.from_json_dict(_corrupt(json.loads(json.dumps(good)), how))
 
 
 def test_load_rejects_foreign_payload():
