@@ -1,14 +1,12 @@
 """Sparse-grid quasi-interpolation: B-spline sampling recovery on the unit
 cube with anisotropic level sets, induced cubature, and rate diagnostics."""
 
-from .bspline import (active_shifts, eval_centered, eval_dilated,
-                      integral_on_cube, shift_bounds, shift_denominator)
+from .bspline import eval_centered, shift_bounds, shift_denominator
 from .grids import (LevelSet, SampleGrid, SmoothnessSpec, comparison_sets,
                     delta_energy, delta_hybrid, delta_mixed, nu_exponent,
                     sample_grid, theta_le_taustar, trade_exponent,
                     xi_for_budget)
-from .quasi_interp import (Mask, apply_Q, extend, mask_for_order, q_level,
-                           surplus_weights)
+from .quasi_interp import apply_Q, q_level
 from .recovery import (Reconstruction, build, evaluate, evaluate_batch, load,
                        save)
 from .cubature import (CubatureRule, apply_rule, assemble_weights,

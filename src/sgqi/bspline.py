@@ -85,49 +85,6 @@ def shift_bounds(r: int, k: int) -> tuple[int, int]:
     return (-r + 1, (1 << (k + 1)) + r - 1)
 
 
-def active_shifts(r: int, k) -> list[range]:
-    """Per-dimension shift ranges of the basis functions alive on [0,1]^d."""
-    k = _as_level(k)
-    out = []
-    for ki in k:
-        lo, hi = shift_bounds(r, ki)
-        out.append(range(lo, hi + 1))
-    return out
-
-
-def _check_index(r, k, s):
-    k = _as_level(k)
-    if isinstance(s, (int, np.integer)):
-        s = (int(s),)
-    s = tuple(int(v) for v in s)
-    if len(s) != len(k):
-        raise ValueError("level and shift dimensions differ")
-    for ki, si in zip(k, s):
-        lo, hi = shift_bounds(r, ki)
-        if not lo <= si <= hi:
-            raise ValueError("inactive spline index")
-    return k, s
-
-
-def eval_dilated(r: int, k, s, x):
-    """Tensor-product dilated spline at a point x in [0,1]^d.
-
-    Computes prod_i M(2^{k_i} x_i - s_i) for even r and
-    prod_i M(2^{k_i} x_i - s_i/2) for odd r.
-    """
-    k, s = _check_index(r, k, s)
-    if np.isscalar(x):
-        x = (float(x),)
-    x = tuple(float(v) for v in x)
-    if len(x) != len(k):
-        raise ValueError("point dimension mismatch")
-    den = shift_denominator(r)
-    val = 1.0
-    for ki, si, xi in zip(k, s, x):
-        val *= eval_centered(r, math.ldexp(xi, ki) - si / den)
-    return val
-
-
 @lru_cache(maxsize=8)
 def _gauss_rule(npts: int):
     nodes, weights = np.polynomial.legendre.leggauss(npts)
@@ -164,16 +121,6 @@ def integral_dilated_1d(r: int, k: int, s: int, den: int | None = None) -> float
     return math.ldexp(total, -k)
 
 
-def integral_on_cube(r: int, k, s) -> float:
-    """Integral of the tensor dilated spline over the unit cube."""
-    k, s = _check_index(r, k, s)
-    den = shift_denominator(r)
-    val = 1.0
-    for ki, si in zip(k, s):
-        val *= integral_dilated_1d(r, ki, si, den)
-    return val
-
-
 def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X: np.ndarray,
                    den: int | None = None) -> np.ndarray:
     """Evaluate a single-level tensor spline expansion at many points.
@@ -190,24 +137,28 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X: np.ndarray,
         den = shift_denominator(r)
     npts = X.shape[0]
     m = den * r  # candidate shifts per dimension covering the support
-    cols = []
+    # per dimension, row j of vals and offs holds the j-th candidate of
+    # every point: its spline value and its offset into the flat coeffs
+    offs = []
     vals = []
     for i in range(d):
         u = X[:, i] * float(1 << k[i])
         a = den * u - den * r / 2.0
         s_lo = np.floor(a).astype(np.int64) + 1
-        cand = s_lo[:, None] + np.arange(m, dtype=np.int64)[None, :]
-        B = eval_centered(r, u[:, None] - cand / den)
+        cand = np.arange(m, dtype=np.int64)[:, None] + s_lo[None, :]
+        B = eval_centered(r, u[None, :] - cand / den)
         col = cand - s_min[i]
         inside = (col >= 0) & (col < coeffs.shape[i])
-        B = np.where(inside, B, 0.0)
-        cols.append(np.clip(col, 0, coeffs.shape[i] - 1))
-        vals.append(B)
+        vals.append(np.where(inside, B, 0.0))
+        offs.append(np.clip(col, 0, coeffs.shape[i] - 1)
+                    * math.prod(coeffs.shape[i + 1:]))
+    flat = coeffs.reshape(-1)
     out = np.zeros(npts)
     for combo in np.ndindex(*([m] * d)):
-        w = vals[0][:, combo[0]].copy()
+        w = vals[0][combo[0]].copy()
+        idx = offs[0][combo[0]]
         for i in range(1, d):
-            w *= vals[i][:, combo[i]]
-        idx = tuple(cols[i][:, combo[i]] for i in range(d))
-        out += coeffs[idx] * w
+            w *= vals[i][combo[i]]
+            idx = idx + offs[i][combo[i]]
+        out += flat.take(idx) * w
     return out

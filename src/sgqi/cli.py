@@ -111,6 +111,13 @@ def _float_list(raw, what):
     return tuple(_as_float(tok, what) for tok in raw.split(",") if tok.strip())
 
 
+def _finite_xi(raw):
+    xi = _as_float(raw, "sweep.xi")
+    if not math.isfinite(xi):
+        raise ConfigError(f"sweep.xi must be finite: {raw!r}")
+    return xi
+
+
 def _spec_from_config(cfg) -> tuple:
     prob = cfg["problem"]
     family = _need(cfg, "problem", "family")
@@ -284,7 +291,8 @@ def cmd_compare(cfg):
     make_delta = _delta_factory(spec, family, tau)
     nu = grids.nu_exponent(spec, family)
     h = _config_hash(cfg)
-    xis = _float_list(_need(cfg, "sweep", "xi"), "sweep.xi")
+    xis = [_finite_xi(tok) for tok in _need(cfg, "sweep", "xi").split(",")
+           if tok.strip()]
     rows = []
     for xi in xis:
         aniso = make_delta(xi)
@@ -303,7 +311,7 @@ def cmd_compare(cfg):
 def _single_xi(cfg, make_delta):
     sw = cfg["sweep"]
     if sw.get("xi"):
-        return _as_float(sw["xi"], "sweep.xi")
+        return _finite_xi(sw["xi"])
     if sw.get("budgets"):
         n = _as_int(sw["budgets"].split(",")[0], "sweep.budgets")
         return grids.xi_for_budget(n, make_delta)
@@ -324,7 +332,7 @@ def cmd_dump_grid(cfg, out_fh):
     if family in ("fullgrid", "smolyak"):
         d = _as_int(_need(cfg, "problem", "d"), "problem.d")
         lam = _as_float(prob.get("lam", "1"), "problem.lam")
-        xi = _as_float(_need(cfg, "sweep", "xi"), "sweep.xi")
+        xi = _finite_xi(_need(cfg, "sweep", "xi"))
         delta = grids.comparison_sets(xi, lam, family, d)
     else:
         spec, family, tau = _spec_from_config(cfg)

@@ -213,7 +213,10 @@ class LevelSet:
 
 def _enumerate(d: int, b: tuple, cinf: float, xi: float):
     """All k >= 0 with sum b_i k_i + cinf*max(k) <= xi, by depth-first
-    search; requires b_i >= 0 and b_i + cinf > 0 (monotone, finite)."""
+    search; requires b_i >= 0 and b_i + cinf > 0 (monotone, finite) and a
+    finite xi."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, not {xi!r}")
     for bi in b:
         if bi < 0 or bi + cinf <= 0:
             raise ValueError("level-set functional is not monotone "

@@ -1,28 +1,33 @@
 """Quasi-interpolation machinery on dyadic grids over [0,1]^d.
 
-Univariate building blocks: a finite even mask Lambda, Lagrange boundary
-extension of sampled functions, the sample functionals a_{k,s}, and the
-hierarchical (surplus) functionals c_{k,s} that express the level
-difference Q_k - Q_{k-1} in the dilated B-spline basis.  Tensorization is
-coordinatewise, dimension 1 outermost.
+Univariate building blocks, each a sparse matrix over the node values of
+one level: the sample functionals a_{k,s} (a finite even mask Lambda
+applied to the samples, extended past [0,1] by Lagrange extrapolation),
+the surplus functionals c_{k,s} that express the level difference
+q_k = Q_k - Q_{k-1} in the dilated B-spline basis, and the two-scale
+refinement from one level to the next.  Tensorization is coordinatewise,
+dimension 1 outermost.
 
-All functionals are finite linear combinations of samples at the dyadic
-nodes j 2^{-k}; the combination weights are exact rationals (Fractions)
-and are tabulated once per (r, k, s).  Floating point enters only when a
-weight table is applied to actual sample values.
+Every table weight is a rational over the mask's denominator (1, 1, 8, 6
+for r = 1..4): Lagrange extension weights at integer offsets are integers
+and two-scale weights are dyadic.  Tables are built as numerators, which
+floating point holds exactly, and divided by the denominator once, so
+each entry is the correctly rounded exact weight.  Floating-point error
+enters only when a table is applied to sample values.
 
 The surplus convention used throughout: level 0 carries Q_0 itself and,
-for k > 0, even half-integer shifts inherit the level-k sample functional
-while odd shifts carry the refined remainder of -Q_{k-1}.  With this
-convention the telescoping identity sum_{k' <= k} q_{k'} = Q_k holds
-exactly for every order, which the test suite checks directly.
+for k > 0, the surplus table is the level-k sample table minus the
+level-(k-1) one carried to level k by refine_matrix.  For odd orders the
+level-k sample functionals sit at the even half-integer shifts and the
+refined -Q_{k-1} lands on the odd ones.  With this convention the
+telescoping identity sum_{k' <= k} q_{k'} = Q_k holds exactly for every
+order, which the test suite checks directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -31,41 +36,19 @@ from scipy import sparse
 from . import bspline
 
 __all__ = [
-    "Mask", "mask_for_order", "BoundaryExtendedSampler", "extend",
-    "a_coeff", "c_coeff_even", "c_coeff_odd", "a_weights", "surplus_weights",
     "SurplusLevel", "q_level", "apply_Q", "coeff_shift_bounds",
     "sample_matrix", "surplus_matrix", "refine_matrix", "vectorize_handle",
     "contract",
 ]
 
+# order -> (common denominator D, {j: D lam(j)}) of the finite even mask
+# Lambda, |j| <= mu, sum lam(j) = 1
 _MASKS = {
-    1: {0: Fraction(1)},
-    2: {0: Fraction(1)},
-    3: {-1: Fraction(-1, 8), 0: Fraction(10, 8), 1: Fraction(-1, 8)},
-    4: {-1: Fraction(-1, 6), 0: Fraction(8, 6), 1: Fraction(-1, 6)},
+    1: (1, {0: 1}),
+    2: (1, {0: 1}),
+    3: (8, {-1: -1, 0: 10, 1: -1}),
+    4: (6, {-1: -1, 0: 8, 1: -1}),
 }
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Finite even coefficient sequence lam(j), |j| <= mu, sum = 1."""
-
-    r: int
-    mu: int
-    lam: tuple  # ((j, Fraction), ...) sorted by j
-
-    def weights(self) -> dict:
-        return dict(self.lam)
-
-    def norm(self) -> float:
-        return float(sum(abs(w) for _, w in self.lam))
-
-
-def mask_for_order(r: int) -> Mask:
-    bspline._check_order(r)
-    lam = _MASKS[r]
-    mu = max(abs(j) for j in lam)
-    return Mask(r=r, mu=mu, lam=tuple(sorted(lam.items())))
 
 
 def coeff_shift_bounds(r: int, k: int) -> tuple[int, int]:
@@ -78,226 +61,99 @@ def coeff_shift_bounds(r: int, k: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact rational weight tables
+# level tables
 
 
-@lru_cache(maxsize=None)
-def _lagrange_weights(nodes: tuple, t: int) -> tuple:
-    """Weights w_i with P(t) = sum_i w_i f(nodes[i]) for the polynomial
-    interpolating f at the given integer nodes."""
-    out = []
-    for i, xi in enumerate(nodes):
-        w = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j != i:
-                w *= Fraction(t - xj, xi - xj)
-        out.append(w)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _fbar_weights(r: int, k: int, tau: int) -> tuple:
-    """Node weights of the extended sample fbar_k(tau 2^{-k}).
-
-    Inside [0, 2^k] this is the sample itself.  Outside, the value of the
-    Lagrange polynomial through the r nearest boundary nodes; when the
-    level has fewer than r nodes the stencil is capped at what exists, so
-    every level is defined (full degree r-1 extension needs 2^k + 1 >= r).
+def _fbar_weights(r: int, k: int, tau: int) -> list:
+    """Node weights (node, integer weight) of the extended sample
+    fbar_k(tau 2^{-k}) for tau outside [0, 2^k]: the Lagrange polynomial
+    through the r nearest boundary nodes, evaluated at tau.  When the level
+    has fewer than r nodes the stencil is capped at what exists, so every
+    level is defined (full degree r-1 extension needs 2^k + 1 >= r).
+    Lagrange weights of consecutive integer nodes at an integer point are
+    integers, so the divisions below are exact.
     """
     n = 1 << k
-    if 0 <= tau <= n:
-        return ((tau, Fraction(1)),)
     m = min(r, n + 1)
-    if tau < 0:
-        nodes = tuple(range(m))
-    else:
-        nodes = tuple(range(n - m + 1, n + 1))
-    ws = _lagrange_weights(nodes, tau)
-    return tuple((nd, w) for nd, w in zip(nodes, ws) if w != 0)
-
-
-@lru_cache(maxsize=None)
-def a_weights(r: int, k: int, s: int) -> tuple:
-    """Exact node-weight table of a_{k,s}: pairs (j, w) meaning
-    a_{k,s}(f) = sum w * f(j 2^{-k})."""
-    acc: dict[int, Fraction] = {}
-    for j, lam in _MASKS[r].items():
-        for node, w in _fbar_weights(r, k, s - j):
-            acc[node] = acc.get(node, Fraction(0)) + lam * w
-    return tuple(sorted((nd, w) for nd, w in acc.items() if w != 0))
-
-
-def _pairs_even(r: int, k: int, s: int):
-    """(m, j) with 2m + j - r/2 = s, 0 <= j <= r, m in the level k-1
-    sample index set."""
-    lo, hi = coeff_shift_bounds(r, k - 1)
+    nodes = range(m) if tau < 0 else range(n - m + 1, n + 1)
     out = []
-    for j in range(r + 1):
-        num = s - j + r // 2
-        if num % 2 == 0 and lo <= num // 2 <= hi:
-            out.append((num // 2, j))
+    for xi in nodes:
+        others = [xj for xj in nodes if xj != xi]
+        num = math.prod(tau - xj for xj in others)
+        if num:
+            out.append((xi, num // math.prod(xi - xj for xj in others)))
     return out
 
 
-def _pairs_odd(r: int, k: int, s: int):
-    """(m, j) with 4m + 2j - r = s, 0 <= j <= r, m in the level k-1
-    sample index set."""
-    lo, hi = coeff_shift_bounds(r, k - 1)
-    out = []
-    for j in range(r + 1):
-        num = s + r - 2 * j
-        if num % 4 == 0 and lo <= num // 4 <= hi:
-            out.append((num // 4, j))
-    return out
+def _sample_numerators(r: int, k: int):
+    """D a_{k,s} over the node values, one row per shift s of
+    coeff_shift_bounds(r, k), entries integers.
 
-
-@lru_cache(maxsize=None)
-def surplus_weights(r: int, k: int, s: int) -> tuple:
-    """Exact node-weight table of the surplus functional c_{k,s} at level
-    k: pairs (j, w) meaning c_{k,s}(f) = sum w * f(j 2^{-k})."""
-    if r % 2 == 0:
-        if k == 0:
-            return a_weights(r, 0, s)
-        acc = {nd: w for nd, w in a_weights(r, k, s)}
-        scale = Fraction(1, 1 << (r - 1))
-        for m, j in _pairs_even(r, k, s):
-            cw = scale * math.comb(r, j)
-            for node, w in a_weights(r, k - 1, m):
-                key = 2 * node
-                acc[key] = acc.get(key, Fraction(0)) - cw * w
-        return tuple(sorted((nd, w) for nd, w in acc.items() if w != 0))
-    # odd order: even shifts restate the level-k sample functional, odd
-    # shifts carry the refined -Q_{k-1} part
-    if s % 2 == 0:
-        return a_weights(r, k, s // 2)
-    if k == 0:
-        return ()
-    acc = {}
-    scale = Fraction(1, 1 << (r - 1))
-    for m, j in _pairs_odd(r, k, s):
-        cw = scale * math.comb(r, j)
-        for node, w in a_weights(r, k - 1, m):
-            key = 2 * node
-            acc[key] = acc.get(key, Fraction(0)) - cw * w
-    return tuple(sorted((nd, w) for nd, w in acc.items() if w != 0))
-
-
-# ---------------------------------------------------------------------------
-# public scalar operations
-
-
-class BoundaryExtendedSampler:
-    """Samples of f on the level-k dyadic grid with Lagrange extension.
-
-    Returns f itself on [0,1] and the degree r-1 extrapolation through the
-    r leftmost (rightmost) grid nodes outside.
+    Row s holds the mask taps D lam(j) at the nodes s - j; only the O(r)
+    rows whose taps leave [0, 2^k] spread a tap over extension weights.
     """
-
-    def __init__(self, f, k: int, r: int):
-        bspline._check_order(r)
-        if (1 << k) + 1 < r:
-            raise ValueError("insufficient nodes for extension")
-        self.f = f
-        self.k = int(k)
-        self.r = int(r)
-        n = 1 << k
-        self.nodes = np.arange(n + 1) * math.ldexp(1.0, -k)
-        self.samples = np.array([float(f(x)) for x in self.nodes])
-
-    def _lagrange(self, xs, nodes, vals):
-        out = np.zeros_like(xs)
-        for i in range(len(nodes)):
-            term = np.full_like(xs, vals[i])
-            for j in range(len(nodes)):
-                if j != i:
-                    term *= (xs - nodes[j]) / (nodes[i] - nodes[j])
-            out += term
-        return out
-
-    def __call__(self, x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xa)
-        left = xa < 0.0
-        right = xa > 1.0
-        inner = ~(left | right)
-        if inner.any():
-            out[inner] = [float(self.f(v)) for v in xa[inner]]
-        if left.any():
-            out[left] = self._lagrange(xa[left], self.nodes[: self.r],
-                                       self.samples[: self.r])
-        if right.any():
-            out[right] = self._lagrange(xa[right], self.nodes[-self.r:],
-                                        self.samples[-self.r:])
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(out[0])
-        return out
+    lam = _MASKS[r][1]
+    n = 1 << k
+    lo, hi = coeff_shift_bounds(r, k)
+    s = np.arange(lo, hi + 1)
+    rows, cols, vals = [], [], []
+    for j, w in lam.items():
+        tau = s - j
+        inside = (tau >= 0) & (tau <= n)
+        rows.append(s[inside] - lo)
+        cols.append(tau[inside])
+        vals.append(np.full(np.count_nonzero(inside), float(w)))
+        for si in s[~inside].tolist():
+            for node, wn in _fbar_weights(r, k, si - j):
+                rows.append([si - lo])
+                cols.append([node])
+                vals.append([float(w * wn)])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(hi - lo + 1, n + 1))
 
 
-def extend(f, k: int, r: int) -> BoundaryExtendedSampler:
-    """Boundary-extended sampler of f at level k for order r."""
-    return BoundaryExtendedSampler(f, k, r)
+def _on_shift_rows(r: int, k: int):
+    """_sample_numerators on the rows of shift_bounds(r, k): the same rows
+    for even r, row m at half-integer shift 2m for odd r."""
+    A = _sample_numerators(r, k).tocoo()
+    lo, hi = bspline.shift_bounds(r, k)
+    s = bspline.shift_denominator(r) * (A.row + coeff_shift_bounds(r, k)[0])
+    return sparse.csr_matrix((A.data, (s - lo, A.col)),
+                             shape=(hi - lo + 1, A.shape[1]))
 
 
-def a_coeff(sampler: BoundaryExtendedSampler, mask: Mask, k: int, s: int) -> float:
-    """Sample functional a_{k,s}(f) = sum_j lam(j) fbar_k((s-j) 2^{-k})."""
-    if sampler.k != k:
-        raise ValueError("sampler level does not match k")
-    h = math.ldexp(1.0, -k)
-    return float(sum(float(w) * sampler((s - j) * h) for j, w in mask.lam))
+def _divide(M, r: int):
+    """M / D with true division per entry (scipy's M / D multiplies by
+    1/D, which can miss the correctly rounded quotient), zeros dropped,
+    indices sorted."""
+    M.eliminate_zeros()
+    M.sort_indices()
+    M.data = M.data / _MASKS[r][0]
+    return M
 
 
-def _apply_table(table, f, k: int) -> float:
-    h = math.ldexp(1.0, -k)
-    return float(sum(float(w) * float(f(nd * h)) for nd, w in table))
-
-
-def c_coeff_even(f, r: int, k: int, s: int) -> float:
-    """Surplus coefficient c_{k,s}(f) for even order."""
-    if r % 2 != 0:
-        raise ValueError("parity mismatch")
-    return _apply_table(surplus_weights(r, k, s), f, k)
-
-
-def c_coeff_odd(f, r: int, k: int, s: int) -> float:
-    """Surplus coefficient c_{k,s}(f) for odd order (half-integer shifts)."""
-    if r % 2 == 0:
-        raise ValueError("parity mismatch")
-    return _apply_table(surplus_weights(r, k, s), f, k)
-
-
-# ---------------------------------------------------------------------------
-# vectorized level operators
-
-
-def _table_matrix(rows, k: int):
-    n = (1 << k) + 1
-    indptr = [0]
-    indices = []
-    data = []
-    for table in rows:
-        for nd, w in table:
-            indices.append(nd)
-            data.append(float(w))
-        indptr.append(len(indices))
-    return sparse.csr_matrix((data, indices, indptr),
-                             shape=(len(rows), n))
+@lru_cache(maxsize=None)
+def sample_matrix(r: int, k: int):
+    """CSR matrix of the sample functionals a_{k,s} over the node values,
+    and the first row's shift index."""
+    return _divide(_sample_numerators(r, k), r), coeff_shift_bounds(r, k)[0]
 
 
 @lru_cache(maxsize=None)
 def surplus_matrix(r: int, k: int):
     """CSR matrix of all surplus functionals at level k over the node
-    values, and the first row's shift index."""
-    lo, hi = bspline.shift_bounds(r, k)
-    rows = [surplus_weights(r, k, s) for s in range(lo, hi + 1)]
-    return _table_matrix(rows, k), lo
+    values, and the first row's shift index.
 
-
-@lru_cache(maxsize=None)
-def sample_matrix(r: int, k: int):
-    """CSR matrix of the sample functionals a_{k,s} over node values."""
-    lo, hi = coeff_shift_bounds(r, k)
-    rows = [a_weights(r, k, s) for s in range(lo, hi + 1)]
-    return _table_matrix(rows, k), lo
+    Level k's sample table minus level k-1's carried up by refine_matrix,
+    its node j being node 2j of level k.
+    """
+    S = _on_shift_rows(r, k)
+    if k > 0:
+        C = (refine_matrix(r, k - 1) @ _on_shift_rows(r, k - 1)).tocoo()
+        S = S - sparse.csr_matrix((C.data, (C.row, 2 * C.col)),
+                                  shape=S.shape)
+    return _divide(S, r), bspline.shift_bounds(r, k)[0]
 
 
 @lru_cache(maxsize=None)
@@ -401,10 +257,6 @@ class SurplusLevel:
     k: tuple
     s_min: tuple
     coeffs: np.ndarray
-
-
-class SurplusField(dict):
-    """Map level vector -> SurplusLevel."""
 
 
 def q_level(f, r: int, k) -> SurplusLevel:

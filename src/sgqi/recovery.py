@@ -20,9 +20,8 @@ import numpy as np
 
 from . import bspline
 from .grids import LevelSet, sample_grid
-from .quasi_interp import (SurplusField, SurplusLevel, _apply_along_axis,
-                           contract, refine_matrix, surplus_matrix,
-                           vectorize_handle)
+from .quasi_interp import (SurplusLevel, _apply_along_axis, contract,
+                           refine_matrix, surplus_matrix, vectorize_handle)
 
 
 @dataclass
@@ -32,7 +31,7 @@ class Reconstruction:
     r: int
     d: int
     delta: LevelSet
-    surplus: SurplusField
+    surplus: dict  # level vector -> SurplusLevel
     sample_budget: int
     declared_budget: int
 
@@ -52,7 +51,7 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise ValueError(f"{bad} of {len(vals)} samples are not finite")
-    surplus = SurplusField()
+    surplus = {}
     for k in delta.levels:
         T = vals[grid.positions(k)].reshape([(1 << ki) + 1 for ki in k])
         T = contract(T, [surplus_matrix(r, ki)[0] for ki in k])
@@ -194,7 +193,7 @@ def from_json_dict(obj: dict) -> Reconstruction:
     if obj.get("version") != _VERSION:
         raise ValueError("unsupported dump version")
     r, d = obj["r"], obj["d"]
-    surplus = SurplusField()
+    surplus = {}
     for entry in obj["levels"]:
         lvl = _dump_level(entry, r, d)
         if lvl.k in surplus:

@@ -2,16 +2,23 @@
 
 Everything here is written from the textbook definitions, on purpose not
 sharing code with the package: Cox-de Boor recursion for the splines, the
-classical Faber (hat-function) surplus for order 2, brute-force box scans
-for the level sets, a breakpoint scan for the budget inversion, and grid
-points identified by exact fractions.  The one exception is the per-level
-evaluation kernel, the path grouped evaluation replaced, kept here as its
-reference; it calls the package's single-level bspline.eval_expansion.
+classical Faber (hat-function) surplus for order 2, exact rational
+sample and surplus functionals derived row by row in Fractions, a scalar
+boundary-extended sampler, brute-force box scans for the level sets, a
+breakpoint scan for the budget inversion, and grid points identified by
+exact fractions.  The exceptions are the paths the package replaced, kept
+here as their references: the per-level evaluation kernel (it calls the
+package's single-level bspline.eval_expansion) and the pointwise tensor
+spline and cube integral (they call bspline.eval_centered and
+bspline.integral_dilated_1d).
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +68,196 @@ def apply_table_exact(table, values) -> Fraction:
     """Evaluate a node-weight table against exact sample values (a
     node -> Fraction mapping)."""
     return sum((w * values[nd] for nd, w in table), Fraction(0))
+
+
+# --------------------------------------------------------------------------
+# pointwise tensor splines (the scalar path the expansion kernel replaced)
+
+
+def shift_ranges(r: int, k) -> list:
+    """Per-dimension shift ranges of the basis functions alive on [0,1]^d."""
+    return [range(lo, hi + 1)
+            for lo, hi in (surplus_bounds(r, ki) for ki in k)]
+
+
+def eval_dilated(r: int, k, s, x) -> float:
+    """prod_i M(2^{k_i} x_i - s_i / den) at one point x."""
+    from sgqi import bspline
+
+    den = bspline.shift_denominator(r)
+    val = 1.0
+    for ki, si, xi in zip(k, s, x):
+        val *= bspline.eval_centered(r, math.ldexp(float(xi), ki) - si / den)
+    return val
+
+
+def integral_on_cube(r: int, k, s) -> float:
+    """Integral of the tensor dilated spline over the unit cube."""
+    from sgqi import bspline
+
+    den = bspline.shift_denominator(r)
+    return math.prod(bspline.integral_dilated_1d(r, ki, si, den)
+                     for ki, si in zip(k, s))
+
+
+# --------------------------------------------------------------------------
+# exact rational sample and surplus functionals, row by row
+
+MASKS = {
+    1: {0: Fraction(1)},
+    2: {0: Fraction(1)},
+    3: {-1: Fraction(-1, 8), 0: Fraction(10, 8), 1: Fraction(-1, 8)},
+    4: {-1: Fraction(-1, 6), 0: Fraction(8, 6), 1: Fraction(-1, 6)},
+}
+
+
+def coeff_bounds(r: int, k: int) -> tuple:
+    """Integers s with -r/2 < s < 2^k + r/2."""
+    return (-(r // 2) + 1 if r % 2 == 0 else -((r - 1) // 2),
+            (1 << k) + (r // 2 - 1 if r % 2 == 0 else (r - 1) // 2))
+
+
+def surplus_bounds(r: int, k: int) -> tuple:
+    """Shifts of the level-k splines alive on [0,1]: integers for even r,
+    half-integer indices for odd r (the order-1 box keeps the shift whose
+    support meets [0,1] only at x = 1)."""
+    if r % 2 == 0:
+        return coeff_bounds(r, k)
+    if r == 1:
+        return (0, (1 << (k + 1)) + 1)
+    return (-r + 1, (1 << (k + 1)) + r - 1)
+
+
+def lagrange_weights(nodes, t) -> tuple:
+    """Weights w_i with P(t) = sum_i w_i f(nodes[i]) for the polynomial
+    interpolating f at the given nodes."""
+    out = []
+    for i, xi in enumerate(nodes):
+        w = Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                w *= Fraction(t - xj, xi - xj)
+        out.append(w)
+    return tuple(out)
+
+
+def fbar_weights(r: int, k: int, tau: int) -> tuple:
+    """Node weights of the extended sample fbar_k(tau 2^{-k}): the sample
+    inside [0, 2^k], outside the Lagrange polynomial through the r nearest
+    boundary nodes (fewer when the level has fewer nodes)."""
+    n = 1 << k
+    if 0 <= tau <= n:
+        return ((tau, Fraction(1)),)
+    m = min(r, n + 1)
+    nodes = tuple(range(m)) if tau < 0 else tuple(range(n - m + 1, n + 1))
+    return tuple((nd, w) for nd, w in zip(nodes, lagrange_weights(nodes, tau))
+                 if w != 0)
+
+
+@lru_cache(maxsize=None)
+def a_weights(r: int, k: int, s: int) -> tuple:
+    """Node-weight table of a_{k,s}: pairs (j, w) meaning
+    a_{k,s}(f) = sum w f(j 2^{-k})."""
+    acc = {}
+    for j, lam in MASKS[r].items():
+        for node, w in fbar_weights(r, k, s - j):
+            acc[node] = acc.get(node, Fraction(0)) + lam * w
+    return tuple(sorted((nd, w) for nd, w in acc.items() if w != 0))
+
+
+def pairs_even(r: int, k: int, s: int) -> list:
+    """(m, j) with 2m + j - r/2 = s, 0 <= j <= r, m a level k-1 sample
+    index."""
+    lo, hi = coeff_bounds(r, k - 1)
+    return [((s - j + r // 2) // 2, j) for j in range(r + 1)
+            if (s - j + r // 2) % 2 == 0 and lo <= (s - j + r // 2) // 2 <= hi]
+
+
+def pairs_odd(r: int, k: int, s: int) -> list:
+    """(m, j) with 4m + 2j - r = s, 0 <= j <= r, m a level k-1 sample
+    index."""
+    lo, hi = coeff_bounds(r, k - 1)
+    return [((s + r - 2 * j) // 4, j) for j in range(r + 1)
+            if (s + r - 2 * j) % 4 == 0 and lo <= (s + r - 2 * j) // 4 <= hi]
+
+
+@lru_cache(maxsize=None)
+def surplus_weights(r: int, k: int, s: int) -> tuple:
+    """Node-weight table of the surplus functional c_{k,s}: the level-k
+    sample functional (even r, or even half-integer index s for odd r)
+    minus the two-scale refinement of the level k-1 ones,
+    M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2)."""
+    if r % 2 == 0:
+        acc = dict(a_weights(r, k, s))
+        pairs = pairs_even(r, k, s) if k > 0 else []
+    else:
+        acc = dict(a_weights(r, k, s // 2)) if s % 2 == 0 else {}
+        pairs = pairs_odd(r, k, s) if k > 0 else []
+    for m, j in pairs:
+        cw = Fraction(math.comb(r, j), 1 << (r - 1))
+        for node, w in a_weights(r, k - 1, m):
+            acc[2 * node] = acc.get(2 * node, Fraction(0)) - cw * w
+    return tuple(sorted((nd, w) for nd, w in acc.items() if w != 0))
+
+
+def table_csr(tables, k: int):
+    """CSR matrix over the 2^k + 1 level-k nodes with one row per table:
+    float() of each exact weight, zero weights dropped, indices sorted."""
+    indptr = np.cumsum([0] + [len(t) for t in tables])
+    indices = [nd for t in tables for nd, _ in t]
+    data = [float(w) for t in tables for _, w in t]
+    return sparse.csr_matrix((np.array(data, dtype=float),
+                              np.array(indices, dtype=np.int64), indptr),
+                             shape=(len(tables), (1 << k) + 1))
+
+
+# --------------------------------------------------------------------------
+# scalar boundary-extended sampler
+
+
+class BoundaryExtendedSampler:
+    """Samples of f on the level-k dyadic grid with Lagrange extension.
+
+    Returns f itself on [0,1] and the degree r-1 extrapolation through the
+    r leftmost (rightmost) grid nodes outside.
+    """
+
+    def __init__(self, f, k: int, r: int):
+        if (1 << k) + 1 < r:
+            raise ValueError("insufficient nodes for extension")
+        self.f = f
+        self.k = k
+        self.r = r
+        self.nodes = np.arange((1 << k) + 1) * math.ldexp(1.0, -k)
+        self.samples = np.array([float(f(x)) for x in self.nodes])
+
+    @staticmethod
+    def _lagrange(x, nodes, vals):
+        out = 0.0
+        for i in range(len(nodes)):
+            term = vals[i]
+            for j in range(len(nodes)):
+                if j != i:
+                    term *= (x - nodes[j]) / (nodes[i] - nodes[j])
+            out += term
+        return out
+
+    def __call__(self, x: float) -> float:
+        if x < 0.0:
+            return self._lagrange(x, self.nodes[:self.r],
+                                  self.samples[:self.r])
+        if x > 1.0:
+            return self._lagrange(x, self.nodes[-self.r:],
+                                  self.samples[-self.r:])
+        return float(self.f(x))
+
+
+def a_coeff(sampler: BoundaryExtendedSampler, s: int) -> float:
+    """Sample functional a_{k,s}(f) = sum_j lam(j) fbar_k((s-j) 2^{-k}) at
+    the sampler's level k."""
+    h = math.ldexp(1.0, -sampler.k)
+    return math.fsum(float(w) * sampler((s - j) * h)
+                     for j, w in MASKS[sampler.r].items())
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from sgqi import analysis, bspline, cubature, grids, quasi_interp, recovery
-from oracles import faber_table
+from oracles import faber_table, surplus_weights
 
 # smallest level at which the boundary stencil has enough nodes for full
 # degree r-1 reproduction (2^k + 1 >= r)
@@ -420,11 +420,16 @@ def test_criterion_11_oracle_equivalence():
     checked = 0
     for k in range(9):
         lo, hi = bspline.shift_bounds(2, k)
+        W, _ = quasi_interp.surplus_matrix(2, k)
         shift = 8 - k
         for s in range(lo, hi + 1):
-            mine = quasi_interp.surplus_weights(2, k, s)
+            mine = surplus_weights(2, k, s)
             orc = faber_table(k, s)
             assert mine == orc, (k, s)
+            # the package's table holds the same weights, exactly
+            row = slice(W.indptr[s - lo], W.indptr[s - lo + 1])
+            assert list(zip(W.indices[row].tolist(), W.data[row].tolist())) \
+                == [(m, float(w)) for m, w in orc], (k, s)
             for vals in funcs:
                 got = sum(w * vals[m << shift] for m, w in mine)
                 want = sum(w * vals[m << shift] for m, w in orc)

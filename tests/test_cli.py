@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver via subprocess."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -184,6 +185,50 @@ def test_export_rule(mixed_cfg):
     for row in rows:
         assert 0.0 <= float(row[0]) <= 1.0
         assert 0.0 <= float(row[1]) <= 1.0
+
+
+# sha256 of export-rule output: any table entry that moves by one ulp
+# changes a weight and so these bytes
+GOLDEN_RULES = [
+    (["--set=problem.family=hybrid", "--set=problem.d=2",
+      "--set=problem.r=4", "--set=problem.p=2", "--set=problem.theta=1",
+      "--set=problem.q=2", "--set=problem.alpha=1", "--set=problem.beta=0.5",
+      "--set=sweep.budgets=1000"],
+     "415a7d52ec776b97113f2e1fc1d5e000fc253ec2107fc7e3228a4322d89973cc"),
+    (["--set=problem.family=mixed", "--set=problem.d=3",
+      "--set=problem.r=3", "--set=problem.p=2", "--set=problem.theta=1",
+      "--set=problem.q=2", "--set=problem.a=1,1.5,2",
+      "--set=sweep.budgets=1000"],
+     "201fbfd81cb190d85030c7544d2b830af63b8767b097f14f903ce0a9475f7e54"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_RULES,
+                         ids=["hybrid-d2-r4", "mixed-d3-r3"])
+def test_export_rule_golden_bytes(argv, digest):
+    res = run_cli("export-rule", *argv)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["export-rule", "--set=sweep.xi={}"],
+    ["dump-grid", "--set=sweep.xi={}"],
+    ["dump-grid", "--set=problem.family=fullgrid", "--set=sweep.xi={}"],
+    ["compare", "--set=problem.family=hybrid", "--set=problem.alpha=1.5",
+     "--set=problem.beta=-0.5", "--set=sweep.xi=2,{}"],
+], ids=["export-rule", "dump-grid", "dump-grid-fullgrid", "compare"])
+def test_exit_2_non_finite_xi(mixed_cfg, capsys, argv, xi):
+    # an infinite xi used to hang dump-grid, a NaN one gave empty output
+    from sgqi import cli
+
+    code = cli.main([argv[0], "-c", mixed_cfg,
+                     *(a.format(xi) for a in argv[1:])])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and "sweep.xi" in out.err
 
 
 def test_dump_grid_golden():

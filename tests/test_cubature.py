@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgqi import cubature, grids, recovery
+from test_grids import downward_closed_sets
 
 
 def box_set(kmax):
@@ -130,3 +133,20 @@ def test_export_csv_2d_header_and_coords():
         "0,0", "0,0.5", "0,1", "1,0", "1,0.5", "1,1"]
     total = sum(float(ln.rsplit(",", 1)[1]) for ln in lines[1:])
     assert abs(total - 1.0) < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets().filter(lambda delta: delta.d <= 3),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_rule_integrates_reconstruction_on_any_downward_closed_set(
+        delta, r, seed):
+    # random downward-closed sets are in general no sublevel set of any
+    # family; both consumers of the surplus tables must still agree
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-4.0, 4.0, delta.d)
+    c = rng.uniform(0.0, 2.0 * np.pi)
+    f = lambda X: np.cos(X @ w + c) + X[:, 0] ** 3
+    via_rule = cubature.apply_rule(cubature.assemble_weights(delta, r), f)
+    via_rec = cubature.integrate_reconstruction(recovery.build(f, delta, r))
+    largest = np.abs(f(grids.sample_grid(delta).coords())).max()
+    assert abs(via_rule - via_rec) <= 1e-12 * largest

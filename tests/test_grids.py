@@ -112,6 +112,15 @@ def test_enumeration_leaves_no_reference_cycles():
         gc.enable()
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_non_finite_xi_is_rejected(xi):
+    # an infinite bound never ends the enumeration; NaN gave an empty set
+    with pytest.raises(ValueError, match="finite"):
+        grids.delta_mixed(xi, MIXED)
+    with pytest.raises(ValueError, match="finite"):
+        grids.comparison_sets(xi, 1.0, "fullgrid", 2)
+
+
 def test_downward_closure():
     for xi in (0.0, 2.5, 5.0):
         assert grids.delta_mixed(xi, MIXED_B).is_downward_closed()

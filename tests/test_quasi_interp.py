@@ -5,75 +5,125 @@ import numpy as np
 import pytest
 
 from sgqi import bspline, quasi_interp as qi
-from oracles import faber_table
+from oracles import (MASKS, BoundaryExtendedSampler as extend, a_coeff,
+                     a_weights, coeff_bounds, faber_table, pairs_even,
+                     pairs_odd, surplus_bounds, surplus_weights, table_csr)
+
+
+def row_table(W, i):
+    """Row i of a CSR table as (node, weight) pairs."""
+    sl = slice(W.indptr[i], W.indptr[i + 1])
+    return list(zip(W.indices[sl].tolist(), W.data[sl].tolist()))
+
+
+def nodes(k):
+    return np.arange((1 << k) + 1) / (1 << k)
 
 
 def test_mask_tables():
-    m3 = qi.mask_for_order(3)
-    assert m3.weights() == {-1: Fraction(-1, 8), 0: Fraction(10, 8),
-                            1: Fraction(-1, 8)}
-    assert qi.mask_for_order(4).weights()[0] == Fraction(8, 6)
+    assert MASKS[3] == {-1: Fraction(-1, 8), 0: Fraction(10, 8),
+                        1: Fraction(-1, 8)}
+    assert MASKS[4][0] == Fraction(8, 6)
     for r in bspline.ORDERS:
-        mask = qi.mask_for_order(r)
-        assert sum(w for _, w in mask.lam) == 1
-    assert [qi.mask_for_order(r).mu for r in bspline.ORDERS] == [0, 0, 1, 1]
+        assert sum(MASKS[r].values()) == 1
+        # the package holds the same mask as numerators over one denominator
+        den, lam = qi._MASKS[r]
+        assert {j: Fraction(w, den) for j, w in lam.items()} == MASKS[r]
+    assert [max(abs(j) for j in MASKS[r]) for r in bspline.ORDERS] == \
+        [0, 0, 1, 1]
 
 
 def test_extension_reproduces_low_degree():
     # with a full stencil the boundary extension is exact on P_{r-1}
-    ext = qi.extend(lambda x: x * x, 2, 4)
+    ext = extend(lambda x: x * x, 2, 4)
     assert math.isclose(ext(-0.25), 0.0625, abs_tol=1e-14)
     assert math.isclose(ext(1.25), 1.5625, abs_tol=1e-13)
     f = math.exp
-    ext2 = qi.extend(f, 1, 2)
+    ext2 = extend(f, 1, 2)
     # linear extrapolation through (0, f(0)) and (1/2, f(1/2))
     assert math.isclose(ext2(-0.5), 2.0 * f(0.0) - f(0.5), abs_tol=1e-13)
 
 
 def test_extension_needs_enough_nodes():
     with pytest.raises(ValueError, match="insufficient nodes"):
-        qi.extend(lambda x: x, 0, 3)
+        extend(lambda x: x, 0, 3)
 
 
 def test_frozen_sample_coefficient():
     # r=4, k=2, s=0 on f(x) = x^2:
     #   -1/6 fbar(1/4) + 8/6 fbar(0) - 1/6 fbar(-1/4) = -2/(6*16) = -1/48
-    sampler = qi.extend(lambda x: x * x, 2, 4)
-    got = qi.a_coeff(sampler, qi.mask_for_order(4), 2, 0)
+    got = a_coeff(extend(lambda x: x * x, 2, 4), 0)
+    assert math.isclose(got, -1.0 / 48.0, abs_tol=1e-15)
+    A, lo = qi.sample_matrix(4, 2)
+    got = (A @ nodes(2) ** 2)[0 - lo]
     assert math.isclose(got, -1.0 / 48.0, abs_tol=1e-15)
 
 
 def test_frozen_surplus_coefficients():
     # order 2 at level 1, odd shift: midpoint minus neighbour average
-    got = qi.c_coeff_even(lambda x: x * x, 2, 1, 1)
+    W, lo = qi.surplus_matrix(2, 1)
+    got = (W @ nodes(1) ** 2)[1 - lo]
     assert math.isclose(got, -0.25, abs_tol=1e-15)
     # order 3 at level 1, odd shift, constant input: the refined part of
     # -Q_0 contributes comb weights (1 + 3)/4 = 1
-    got = qi.c_coeff_odd(lambda x: 1.0, 3, 1, 1)
+    W, lo = qi.surplus_matrix(3, 1)
+    got = (W @ np.ones(3))[1 - lo]
     assert math.isclose(got, -1.0, abs_tol=1e-15)
-    with pytest.raises(ValueError, match="parity"):
-        qi.c_coeff_even(lambda x: x, 3, 1, 1)
-    with pytest.raises(ValueError, match="parity"):
-        qi.c_coeff_odd(lambda x: x, 2, 1, 1)
 
 
 def test_refinement_pairs():
-    assert qi._pairs_even(2, 1, 1) == [(1, 0), (0, 2)]
-    assert qi._pairs_odd(3, 1, 1) == [(1, 0), (0, 2)]
+    assert pairs_even(2, 1, 1) == [(1, 0), (0, 2)]
+    assert pairs_odd(3, 1, 1) == [(1, 0), (0, 2)]
+    # refine_matrix carries exactly these pairs from the sample shifts,
+    # with weight 2^{1-r} C(r, j)
+    for r in bspline.ORDERS:
+        pairs = pairs_even if r % 2 == 0 else pairs_odd
+        den = bspline.shift_denominator(r)
+        for k in (1, 2, 3):
+            R = qi.refine_matrix(r, k - 1).toarray()
+            s_lo = bspline.shift_bounds(r, k - 1)[0]
+            t_lo, t_hi = bspline.shift_bounds(r, k)
+            for t in range(t_lo, t_hi + 1):
+                want = {den * m - s_lo: math.comb(r, j) / (1 << (r - 1))
+                        for m, j in pairs(r, k, t)}
+                got = {c: R[t - t_lo, c] for c in np.flatnonzero(R[t - t_lo])
+                       if (c + s_lo) % den == 0}
+                assert got == want, (r, k, t)
+
+
+@pytest.mark.parametrize("r", bspline.ORDERS)
+def test_tables_match_exact_rational_oracle(r):
+    # every entry is float() of the exact rational weight, bit for bit
+    for k in range(13):
+        for (M, first), (lo, hi), table in (
+                (qi.surplus_matrix(r, k), surplus_bounds(r, k),
+                 surplus_weights),
+                (qi.sample_matrix(r, k), coeff_bounds(r, k), a_weights)):
+            want = table_csr([table(r, k, s) for s in range(lo, hi + 1)], k)
+            assert first == lo
+            assert M.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(M, part), getattr(want, part)), \
+                    (r, k, table.__name__, part)
 
 
 def test_surplus_tables_match_faber_order2():
     for k in range(5):
-        lo, hi = bspline.shift_bounds(2, k)
+        W, lo = qi.surplus_matrix(2, k)
+        hi = bspline.shift_bounds(2, k)[1]
         for s in range(lo, hi + 1):
-            assert qi.surplus_weights(2, k, s) == faber_table(k, s)
+            assert surplus_weights(2, k, s) == faber_table(k, s)
+            assert row_table(W, s - lo) == \
+                [(nd, float(w)) for nd, w in faber_table(k, s)]
 
 
 def test_even_shift_tables_cancel_for_even_orders():
     # the coarse level already carries those values
     for k in (1, 2, 3):
+        W, lo = qi.surplus_matrix(2, k)
         for s in range(0, (1 << k) + 1, 2):
-            assert qi.surplus_weights(2, k, s) == ()
+            assert surplus_weights(2, k, s) == ()
+            assert row_table(W, s - lo) == []
 
 
 def test_surplus_annihilates_constants_even_orders():
@@ -83,7 +133,7 @@ def test_surplus_annihilates_constants_even_orders():
         for k in (1, 2, 3):
             lo, hi = bspline.shift_bounds(r, k)
             for s in range(lo, hi + 1):
-                total = sum(w for _, w in qi.surplus_weights(r, k, s))
+                total = sum(w for _, w in surplus_weights(r, k, s))
                 assert total == 0, (r, k, s)
 
 
@@ -97,7 +147,7 @@ def test_surplus_annihilates_constants_odd_orders():
         den = bspline.shift_denominator(r)
         for k in (1, 2, 3):
             lev = qi.q_level(lambda x: 1.0, r, (k,))
-            tot = sum(w for _, w in qi.surplus_weights(r, k, 1))
+            tot = sum(w for _, w in surplus_weights(r, k, 1))
             assert tot != 0  # the redundancy is real
             vals = bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs,
                                           X, den=den)
@@ -113,7 +163,7 @@ def test_surplus_annihilates_reproduced_polynomials(r, kmin):
         for s in range(lo, hi + 1):
             for deg in range(r):
                 val = sum(w * Fraction(nd, 1 << k) ** deg
-                          for nd, w in qi.surplus_weights(r, k, s))
+                          for nd, w in surplus_weights(r, k, s))
                 assert val == 0, (r, k, s, deg)
 
 
@@ -133,11 +183,13 @@ def test_surplus_vanishes_on_polynomials_odd_orders(r, kmin):
 def test_a_weights_agree_with_sampler_path():
     f = lambda x: math.sin(2.0 * x) + 0.3 * x
     for r, k, s in [(2, 2, 0), (3, 2, -1), (4, 3, 9), (4, 2, 5)]:
-        sampler = qi.extend(f, k, r)
-        direct = qi.a_coeff(sampler, qi.mask_for_order(r), k, s)
+        direct = a_coeff(extend(f, k, r), s)
         h = 0.5**k
-        table = sum(float(w) * f(nd * h) for nd, w in qi.a_weights(r, k, s))
-        assert math.isclose(direct, table, rel_tol=1e-12, abs_tol=1e-12)
+        table = sum(float(w) * f(nd * h) for nd, w in a_weights(r, k, s))
+        A, lo = qi.sample_matrix(r, k)
+        package = (A @ np.array([f(x) for x in nodes(k)]))[s - lo]
+        for got in (table, package):
+            assert math.isclose(direct, got, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("r", bspline.ORDERS)

@@ -150,7 +150,7 @@ def test_skip_tolerance_only_drops_noise():
 
 
 def _random_reconstruction(delta, r, rng):
-    surplus = qi.SurplusField()
+    surplus = {}
     for k in delta.levels:
         bounds = [bspline.shift_bounds(r, ki) for ki in k]
         surplus[k] = qi.SurplusLevel(
