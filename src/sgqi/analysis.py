@@ -252,7 +252,9 @@ def fit_rate(points) -> RateFit:
 # test corpus
 
 def _clip_exponent(lam: float, r: int) -> float:
-    return float(min(max(lam, 1e-6), r - 1 - 1e-9))
+    # the floor wins: for r = 1 the cap r - 1 - 1e-9 is negative, and a
+    # negative exponent makes the kink infinite at the grid node 1/2
+    return float(max(min(lam, r - 1 - 1e-9), 1e-6))
 
 
 def _kink_exponents(spec: SmoothnessSpec, r: int):

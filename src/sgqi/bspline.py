@@ -8,7 +8,9 @@ independently.
 Conventions:
   * order r has support [-r/2, r/2],
   * even r uses integer shifts M(2^k x - s), odd r half-integer shifts
-    M(2^k x - s/2),
+    M(2^k x - s/2); shift_bounds(r, k) indexes every level-k coefficient
+    vector of the package, and an integer shift of odd r is index 2s,
+  * only this module derives the translation denominator from r,
   * the r = 1 box is right-continuous (value 1 on [-1/2, 1/2)) so point
     evaluation is single-valued at the jump.
 """
@@ -85,56 +87,58 @@ def shift_bounds(r: int, k: int) -> tuple[int, int]:
     return (-r + 1, (1 << (k + 1)) + r - 1)
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(npts: int):
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
-    return nodes, weights
+def _integral_centered(r: int, a: float, b: float) -> float:
+    """Integral of M over [a, b], a subinterval of its support, piece by
+    piece between the knots with a Gauss rule of ceil(r/2) points, exact
+    for the degree r-1 polynomial pieces."""
+    half = r / 2.0
+    knots = [-half + i for i in range(r + 1)]
+    cuts = sorted({a, b, *[c for c in knots if a < c < b]})
+    gx, gw = np.polynomial.legendre.leggauss((r + 1) // 2)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        rad = 0.5 * (hi - lo)
+        total += rad * float(np.dot(gw, eval_centered(r, mid + rad * gx)))
+    return total
 
 
 @lru_cache(maxsize=None)
-def integral_dilated_1d(r: int, k: int, s: int, den: int | None = None) -> float:
-    """Exact integral over [0,1] of M(2^k x - s/den).
+def integral_vector(r: int, k: int) -> np.ndarray:
+    """Integrals over [0,1] of M(2^k x - s/den), one per shift s of
+    shift_bounds(r, k).
 
-    Integrated piece by piece between the spline knots with a Gauss rule of
-    ceil(r/2) points, which is exact for the degree r-1 polynomial pieces.
-    den defaults to the parity scheme of r.
+    Substituting t = 2^k x - s/den leaves M integrated over its support
+    clipped to [-s/den, 2^k - s/den], scaled by 2^-k.  All interior shifts
+    share the whole support, so M is integrated once per distinct clipped
+    interval; an empty one (the right-open order-1 box past x = 1)
+    integrates to 0.
     """
-    _check_order(r)
-    if den is None:
-        den = shift_denominator(r)
-    # substitute t = 2^k x - s/den
-    lo = -s / den
-    hi = math.ldexp(1.0, k) - s / den
+    lo, hi = shift_bounds(r, k)
+    s = np.arange(lo, hi + 1)
+    den = shift_denominator(r)
     half = r / 2.0
-    lo = max(lo, -half)
-    hi = min(hi, half)
-    if hi <= lo:
-        return 0.0
-    knots = [-half + i for i in range(r + 1)]
-    cuts = sorted({lo, hi, *[c for c in knots if lo < c < hi]})
-    gx, gw = _gauss_rule((r + 1) // 2)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        rad = 0.5 * (b - a)
-        total += rad * float(np.dot(gw, eval_centered(r, mid + rad * gx)))
-    return math.ldexp(total, -k)
+    ends = np.stack([np.maximum(-s / den, -half),
+                     np.minimum(math.ldexp(1.0, k) - s / den, half)], axis=1)
+    pieces, which = np.unique(ends, axis=0, return_inverse=True)
+    vals = np.array([_integral_centered(r, a, b) if a < b else 0.0
+                     for a, b in pieces.tolist()])
+    out = np.ldexp(vals[which.reshape(-1)], -k)
+    out.flags.writeable = False  # the cache hands it to every caller
+    return out
 
 
-def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X: np.ndarray,
-                   den: int | None = None) -> np.ndarray:
+def eval_expansion(r: int, k, s_min, coeffs: np.ndarray,
+                   X: np.ndarray) -> np.ndarray:
     """Evaluate a single-level tensor spline expansion at many points.
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
-    dimension), with translation denominator den (1 for integer shifts,
-    2 for half-integer).  X has shape (npts, d).  Shifts outside the
-    coefficient array contribute nothing.
+    dimension) of shift_bounds(r, k).  X has shape (npts, d).  Shifts
+    outside the coefficient array contribute nothing.
     """
-    _check_order(r)
     k = _as_level(k)
     d = len(k)
-    if den is None:
-        den = shift_denominator(r)
+    den = shift_denominator(r)
     npts = X.shape[0]
     m = den * r  # candidate shifts per dimension covering the support
     # per dimension, row j of vals and offs holds the j-th candidate of

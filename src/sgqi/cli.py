@@ -154,13 +154,9 @@ def _spec_from_config(cfg) -> tuple:
 
 
 def _delta_factory(spec, family, tau):
-    if family == "mixed":
-        make = lambda xi: grids.delta_mixed(xi, spec)
-    elif family == "hybrid":
-        make = lambda xi: grids.delta_hybrid(xi, spec)
-    else:
-        flag = grids.theta_le_taustar(spec.theta, tau)
-        make = lambda xi: grids.delta_energy(xi, spec, flag)
+    flag = grids.theta_le_taustar(spec.theta, tau)
+    make = lambda xi: grids.delta_for_family(
+        xi, spec, family, theta_le_taustar_flag=flag)
     try:
         make(0.0)  # surface epsilon/monotonicity problems as config errors
     except ValueError as e:

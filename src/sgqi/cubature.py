@@ -9,34 +9,21 @@ or assemble the weight for every grid point once and reuse it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import bspline
 from .grids import LevelSet, SampleGrid, sample_grid
-from .quasi_interp import surplus_matrix, vectorize_handle
+from .quasi_interp import contract, surplus_matrix, vectorize_handle
 from .recovery import Reconstruction
-
-
-@lru_cache(maxsize=None)
-def _integral_vector(r: int, k: int) -> np.ndarray:
-    """Integrals over [0,1] of every active shift at univariate level k."""
-    lo, hi = bspline.shift_bounds(r, k)
-    den = bspline.shift_denominator(r)
-    return np.array([bspline.integral_dilated_1d(r, k, s, den)
-                     for s in range(lo, hi + 1)])
 
 
 def integrate_reconstruction(rec: Reconstruction) -> float:
     """Exact integral of the reconstruction over the unit cube."""
     total = 0.0
     for k, lvl in sorted(rec.surplus.items()):
-        T = lvl.coeffs
-        for axis in range(rec.d - 1, -1, -1):
-            T = np.tensordot(T, _integral_vector(rec.r, k[axis]),
-                             axes=([T.ndim - 1], [0]))
-        total += float(T)
+        rows = [bspline.integral_vector(rec.r, ki)[None, :] for ki in k]
+        total += float(contract(lvl.coeffs, rows).reshape(()))
     return total
 
 
@@ -72,7 +59,7 @@ def _level_weights(r: int, k: tuple) -> np.ndarray:
     w = np.ones(())
     for ki in k:
         W, _ = surplus_matrix(r, ki)
-        w = np.multiply.outer(w, W.T.dot(_integral_vector(r, ki)))
+        w = np.multiply.outer(w, W.T.dot(bspline.integral_vector(r, ki)))
     return w
 
 

@@ -268,6 +268,18 @@ def _pick_epsilon(spec: SmoothnessSpec, upper: float) -> float:
     return eps
 
 
+def _hybrid_functional(spec: SmoothnessSpec, beta: float, sharp: bool):
+    """(b, c) of the hybrid functional sum_i b_i k_i + c max_i k_i with
+    exponent beta, sharp or epsilon-perturbed."""
+    al = spec.alpha - trade_exponent(spec.p, spec.q)
+    if sharp:
+        return (al,) * spec.d, beta
+    eps = _pick_epsilon(spec, min(al, abs(beta)))
+    if beta > 0:
+        return (al + eps / spec.d,) * spec.d, beta - eps
+    return (al - eps,) * spec.d, beta + eps
+
+
 def delta_hybrid(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> LevelSet:
     """Level set for hybrid smoothness (alpha, beta), class A or B."""
     spec.validate(strict=False)
@@ -275,19 +287,7 @@ def delta_hybrid(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> Lev
         raise ValueError("spec kind must be hybrid")
     if cls is None:
         cls = spec.triple_class()
-    tr = trade_exponent(spec.p, spec.q)
-    al, be = spec.alpha - tr, spec.beta
-    if cls == "A":
-        b = (al,) * spec.d
-        cinf = be
-    else:
-        eps = _pick_epsilon(spec, min(al, abs(be)))
-        if be > 0:
-            b = (al + eps / spec.d,) * spec.d
-            cinf = be - eps
-        else:
-            b = (al - eps,) * spec.d
-            cinf = be + eps
+    b, cinf = _hybrid_functional(spec, spec.beta, cls == "A")
     return _build(xi, spec.d, b, cinf, f"hybrid-{cls}")
 
 
@@ -314,28 +314,15 @@ def delta_mixed(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> Leve
 def delta_energy(xi: float, spec: SmoothnessSpec,
                  theta_le_taustar: bool) -> LevelSet:
     """Level set for recovery measured in the energy norm with exponent
-    gamma; the boolean selects the sharp (theta <= tau*) variant or the
-    epsilon-perturbed one."""
+    gamma: the hybrid one at beta - gamma.  The boolean selects the sharp
+    (theta <= tau*) variant or the epsilon-perturbed one."""
     spec.validate(strict=False)
     if spec.kind != "hybrid" or spec.gamma is None:
         raise ValueError("spec must be hybrid with gamma for energy grids")
-    tr = trade_exponent(spec.p, spec.q)
-    al = spec.alpha - tr
-    be, g = spec.beta, spec.gamma
-    if theta_le_taustar:
-        b = (al,) * spec.d
-        cinf = be - g
-        fam = "energy"
-    else:
-        eps = _pick_epsilon(spec, min(al, abs(g - be)))
-        if be > g:
-            b = (al + eps / spec.d,) * spec.d
-            cinf = (be - g) - eps
-        else:
-            b = (al - eps,) * spec.d
-            cinf = (be - g) + eps
-        fam = "energy-eps"
-    return _build(xi, spec.d, b, cinf, fam)
+    b, cinf = _hybrid_functional(spec, spec.beta - spec.gamma,
+                                 theta_le_taustar)
+    return _build(xi, spec.d, b, cinf,
+                  "energy" if theta_le_taustar else "energy-eps")
 
 
 def comparison_sets(xi: float, lam: float, kind: str, d: int) -> LevelSet:
@@ -375,16 +362,15 @@ def nu_exponent(spec: SmoothnessSpec, family: str,
     tr = trade_exponent(spec.p, 1.0 if integration else spec.q)
     if family == "mixed":
         return spec.a[0] - tr
-    if family == "hybrid":
-        if spec.beta > 0:
-            return spec.alpha + spec.beta / spec.d - tr
-        return spec.alpha + spec.beta - tr
-    if family == "energy":
-        g, be = spec.gamma, spec.beta
-        if be > g:
-            return spec.alpha - (g - be) / spec.d - tr
-        return spec.alpha - (g - be) - tr
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("hybrid", "energy"):
+        raise ValueError(f"unknown family {family!r}")
+    if family == "energy" and spec.gamma is None:
+        raise ValueError("energy family needs gamma")
+    # the energy exponent is the hybrid one at beta - gamma
+    be = spec.beta if family == "hybrid" else spec.beta - spec.gamma
+    if be > 0:
+        return spec.alpha + be / spec.d - tr
+    return spec.alpha + be - tr
 
 
 def xi_for_budget(n: int, make_delta) -> float:
@@ -440,10 +426,6 @@ class SampleGrid:
     delta: LevelSet
     K: tuple
     ids: np.ndarray
-
-    @property
-    def budget(self) -> int:
-        return self.delta.budget()
 
     @property
     def distinct_points(self) -> int:

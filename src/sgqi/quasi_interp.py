@@ -36,9 +36,8 @@ from scipy import sparse
 from . import bspline
 
 __all__ = [
-    "SurplusLevel", "q_level", "apply_Q", "coeff_shift_bounds",
-    "sample_matrix", "surplus_matrix", "refine_matrix", "vectorize_handle",
-    "contract",
+    "SurplusLevel", "q_level", "apply_Q", "sample_matrix", "surplus_matrix",
+    "refine_matrix", "vectorize_handle", "contract", "surplus_level",
 ]
 
 # order -> (common denominator D, {j: D lam(j)}) of the finite even mask
@@ -49,15 +48,6 @@ _MASKS = {
     3: (8, {-1: -1, 0: 10, 1: -1}),
     4: (6, {-1: -1, 0: 8, 1: -1}),
 }
-
-
-def coeff_shift_bounds(r: int, k: int) -> tuple[int, int]:
-    """Inclusive bounds of the sample-functional index set at level k,
-    the integers s with -r/2 < s < 2^k + r/2."""
-    bspline._check_order(r)
-    if r % 2 == 0:
-        return (-(r // 2) + 1, (1 << k) + r // 2 - 1)
-    return (-((r - 1) // 2), (1 << k) + (r - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,41 +76,34 @@ def _fbar_weights(r: int, k: int, tau: int) -> list:
 
 
 def _sample_numerators(r: int, k: int):
-    """D a_{k,s} over the node values, one row per shift s of
-    coeff_shift_bounds(r, k), entries integers.
+    """D a_{k,s} over the node values on the rows of shift_bounds(r, k),
+    entries integers.
 
-    Row s holds the mask taps D lam(j) at the nodes s - j; only the O(r)
-    rows whose taps leave [0, 2^k] spread a tap over extension weights.
+    Integer shift s is row den s - lo, so for odd r the rows of odd
+    half-integer index stay empty.  Row s holds the mask taps D lam(j) at
+    the nodes s - j; only the O(r) rows whose taps leave [0, 2^k] spread a
+    tap over extension weights.
     """
     lam = _MASKS[r][1]
     n = 1 << k
-    lo, hi = coeff_shift_bounds(r, k)
-    s = np.arange(lo, hi + 1)
+    lo, hi = bspline.shift_bounds(r, k)
+    den = bspline.shift_denominator(r)
+    s = np.arange(-(-lo // den), hi // den + 1)
     rows, cols, vals = [], [], []
     for j, w in lam.items():
         tau = s - j
         inside = (tau >= 0) & (tau <= n)
-        rows.append(s[inside] - lo)
+        rows.append(den * s[inside] - lo)
         cols.append(tau[inside])
         vals.append(np.full(np.count_nonzero(inside), float(w)))
         for si in s[~inside].tolist():
             for node, wn in _fbar_weights(r, k, si - j):
-                rows.append([si - lo])
+                rows.append([den * si - lo])
                 cols.append([node])
                 vals.append([float(w * wn)])
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(hi - lo + 1, n + 1))
-
-
-def _on_shift_rows(r: int, k: int):
-    """_sample_numerators on the rows of shift_bounds(r, k): the same rows
-    for even r, row m at half-integer shift 2m for odd r."""
-    A = _sample_numerators(r, k).tocoo()
-    lo, hi = bspline.shift_bounds(r, k)
-    s = bspline.shift_denominator(r) * (A.row + coeff_shift_bounds(r, k)[0])
-    return sparse.csr_matrix((A.data, (s - lo, A.col)),
-                             shape=(hi - lo + 1, A.shape[1]))
 
 
 def _divide(M, r: int):
@@ -136,8 +119,8 @@ def _divide(M, r: int):
 @lru_cache(maxsize=None)
 def sample_matrix(r: int, k: int):
     """CSR matrix of the sample functionals a_{k,s} over the node values,
-    and the first row's shift index."""
-    return _divide(_sample_numerators(r, k), r), coeff_shift_bounds(r, k)[0]
+    on the rows of shift_bounds(r, k), and the first row's shift index."""
+    return _divide(_sample_numerators(r, k), r), bspline.shift_bounds(r, k)[0]
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +131,9 @@ def surplus_matrix(r: int, k: int):
     Level k's sample table minus level k-1's carried up by refine_matrix,
     its node j being node 2j of level k.
     """
-    S = _on_shift_rows(r, k)
+    S = _sample_numerators(r, k)
     if k > 0:
-        C = (refine_matrix(r, k - 1) @ _on_shift_rows(r, k - 1)).tocoo()
+        C = (refine_matrix(r, k - 1) @ _sample_numerators(r, k - 1)).tocoo()
         S = S - sparse.csr_matrix((C.data, (C.row, 2 * C.col)),
                                   shape=S.shape)
     return _divide(S, r), bspline.shift_bounds(r, k)[0]
@@ -163,16 +146,16 @@ def refine_matrix(r: int, k: int):
     k + 1, by the two-scale relation
     M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2).
 
-    Shift s feeds t = 2s + j - r/2 for even r and t = 2s + 2j - r for odd r
-    (half-integer scheme).  Targets outside shift_bounds(r, k + 1) vanish
-    on [0,1], the right-open order-1 box at x = 1 included, and are
-    dropped.
+    Shift s/den feeds t/den with t = 2s + den j - den r/2.  Targets outside
+    shift_bounds(r, k + 1) vanish on [0,1], the right-open order-1 box at
+    x = 1 included, and are dropped.
     """
     lo, hi = bspline.shift_bounds(r, k)
     t_lo, t_hi = bspline.shift_bounds(r, k + 1)
+    den = bspline.shift_denominator(r)
     s = np.arange(lo, hi + 1)[:, None]
     j = np.arange(r + 1)[None, :]
-    t = 2 * s + (j - r // 2 if r % 2 == 0 else 2 * j - r)
+    t = 2 * s + den * j - den * r // 2
     w = np.array([math.comb(r, i) for i in range(r + 1)]) / (1 << (r - 1))
     keep = (t >= t_lo) & (t <= t_hi)
     cols = np.broadcast_to(s - lo, t.shape)[keep]
@@ -259,15 +242,20 @@ class SurplusLevel:
     coeffs: np.ndarray
 
 
+def surplus_level(T: np.ndarray, r: int, k: tuple, table) -> SurplusLevel:
+    """Coefficients of the level-k node tensor T under the univariate
+    table (surplus_matrix, or sample_matrix for Q_k itself), applied one
+    coordinate at a time."""
+    mats = [table(r, ki) for ki in k]
+    return SurplusLevel(k=k, s_min=tuple(lo for _, lo in mats),
+                        coeffs=contract(T, [W for W, _ in mats]))
+
+
 def q_level(f, r: int, k) -> SurplusLevel:
-    """All surplus coefficients of the level k, computed by applying the
-    univariate surplus functional one coordinate at a time (dimension 1
-    outermost)."""
+    """All surplus coefficients of the level k."""
     k = bspline._as_level(k)
     T = _node_tensor(vectorize_handle(f, len(k)), k)
-    T = contract(T, [surplus_matrix(r, ki)[0] for ki in k])
-    s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
-    return SurplusLevel(k=k, s_min=s_min, coeffs=T)
+    return surplus_level(T, r, k, surplus_matrix)
 
 
 def apply_Q(f, r: int, k, x) -> float | np.ndarray:
@@ -275,14 +263,12 @@ def apply_Q(f, r: int, k, x) -> float | np.ndarray:
     (npts, d) array), computed directly from the sample functionals."""
     k = bspline._as_level(k)
     d = len(k)
-    T = _node_tensor(vectorize_handle(f, d), k)
-    T = contract(T, [sample_matrix(r, ki)[0] for ki in k])
-    s_min = tuple(coeff_shift_bounds(r, ki)[0] for ki in k)
     X = np.asarray(x, dtype=float)
     single = X.ndim <= 1
     X = np.atleast_2d(X)
     if X.shape[1] != d:
         raise ValueError("point dimension mismatch")
-    # Q_k expands in integer shifts for every order
-    vals = bspline.eval_expansion(r, k, s_min, T, X, den=1)
+    T = _node_tensor(vectorize_handle(f, d), k)
+    lvl = surplus_level(T, r, k, sample_matrix)
+    vals = bspline.eval_expansion(r, k, lvl.s_min, lvl.coeffs, X)
     return float(vals[0]) if single else vals

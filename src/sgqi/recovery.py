@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bspline
 from .grids import LevelSet, sample_grid
-from .quasi_interp import (SurplusLevel, _apply_along_axis, contract,
-                           refine_matrix, surplus_matrix, vectorize_handle)
+from .quasi_interp import (SurplusLevel, _apply_along_axis, refine_matrix,
+                           surplus_level, surplus_matrix, vectorize_handle)
 
 
 @dataclass
@@ -54,9 +54,7 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
     surplus = {}
     for k in delta.levels:
         T = vals[grid.positions(k)].reshape([(1 << ki) + 1 for ki in k])
-        T = contract(T, [surplus_matrix(r, ki)[0] for ki in k])
-        s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
-        surplus[k] = SurplusLevel(k=k, s_min=s_min, coeffs=T)
+        surplus[k] = surplus_level(T, r, k, surplus_matrix)
     return Reconstruction(r=r, d=delta.d, delta=delta, surplus=surplus,
                           sample_budget=grid.distinct_points,
                           declared_budget=delta.budget())
@@ -115,14 +113,12 @@ def evaluate_batch(rec: Reconstruction, points,
         raise ValueError("point dimension mismatch")
     if (X < 0.0).any() or (X > 1.0).any():
         raise ValueError("evaluation point outside domain")
-    den = bspline.shift_denominator(rec.r)
     out = np.zeros(X.shape[0])
     # groups outside, chunks inside: one collapsed array alive at a time
     for k, s_min, coeffs in _level_groups(rec):
         for start in range(0, X.shape[0], chunk):
             sl = slice(start, min(start + chunk, X.shape[0]))
-            out[sl] += bspline.eval_expansion(rec.r, k, s_min, coeffs,
-                                              X[sl], den=den)
+            out[sl] += bspline.eval_expansion(rec.r, k, s_min, coeffs, X[sl])
     return out
 
 

@@ -8,9 +8,9 @@ boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
 here as their references: the per-level evaluation kernel (it calls the
-package's single-level bspline.eval_expansion) and the pointwise tensor
-spline and cube integral (they call bspline.eval_centered and
-bspline.integral_dilated_1d).
+package's single-level bspline.eval_expansion), the pointwise tensor
+spline and the one-shift-at-a-time spline integrals (they call
+bspline.eval_centered).
 """
 
 import math
@@ -91,13 +91,38 @@ def eval_dilated(r: int, k, s, x) -> float:
     return val
 
 
-def integral_on_cube(r: int, k, s) -> float:
-    """Integral of the tensor dilated spline over the unit cube."""
+@lru_cache(maxsize=None)
+def integral_dilated_1d(r: int, k: int, s: int) -> float:
+    """Exact integral over [0,1] of M(2^k x - s/den), one shift at a time.
+
+    Substituting t = 2^k x - s/den, M is integrated over its support
+    clipped to [-s/den, 2^k - s/den], piece by piece between the knots
+    with a Gauss rule of ceil(r/2) points (exact for the degree r-1
+    pieces), and scaled by 2^-k.
+    """
     from sgqi import bspline
 
-    den = bspline.shift_denominator(r)
-    return math.prod(bspline.integral_dilated_1d(r, ki, si, den)
-                     for ki, si in zip(k, s))
+    den = 1 if r % 2 == 0 else 2
+    half = r / 2.0
+    lo = max(-s / den, -half)
+    hi = min(math.ldexp(1.0, k) - s / den, half)
+    if hi <= lo:
+        return 0.0
+    knots = [-half + i for i in range(r + 1)]
+    cuts = sorted({lo, hi, *[c for c in knots if lo < c < hi]})
+    gx, gw = np.polynomial.legendre.leggauss((r + 1) // 2)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        rad = 0.5 * (b - a)
+        vals = bspline.eval_centered(r, mid + rad * gx)
+        total += rad * float(np.dot(gw, vals))
+    return math.ldexp(total, -k)
+
+
+def integral_on_cube(r: int, k, s) -> float:
+    """Integral of the tensor dilated spline over the unit cube."""
+    return math.prod(integral_dilated_1d(r, ki, si) for ki, si in zip(k, s))
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +358,6 @@ def per_level_evaluate(rec, X, chunk: int = 1 << 16,
     from sgqi import bspline
 
     X = np.asarray(X, dtype=float)
-    den = bspline.shift_denominator(rec.r)
     scale = max((float(np.max(np.abs(lvl.coeffs)))
                  for lvl in rec.surplus.values()), default=0.0)
     cutoff = skip_tol * scale
@@ -344,7 +368,7 @@ def per_level_evaluate(rec, X, chunk: int = 1 << 16,
         sl = slice(start, min(start + chunk, X.shape[0]))
         for lvl in active:
             out[sl] += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
-                                              lvl.coeffs, X[sl], den=den)
+                                              lvl.coeffs, X[sl])
     return out
 
 

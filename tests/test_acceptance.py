@@ -118,7 +118,7 @@ def _level_coeffs(f, r, k):
     for axis in range(len(k) - 1, -1, -1):
         W, _ = quasi_interp.sample_matrix(r, k[axis])
         T = quasi_interp._apply_along_axis(W, T, axis)
-    s_min = tuple(quasi_interp.coeff_shift_bounds(r, ki)[0] for ki in k)
+    s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
     return T, s_min
 
 
@@ -126,7 +126,7 @@ def _midpoint_lp(r, k, s_min, coeffs, p):
     axes = [(np.arange(1 << (ki + 2)) + 0.5) / (1 << (ki + 2)) for ki in k]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.column_stack([m.ravel() for m in mesh])
-    g = bspline.eval_expansion(r, k, s_min, coeffs, X, den=1)
+    g = bspline.eval_expansion(r, k, s_min, coeffs, X)
     if math.isinf(p):
         return float(np.max(np.abs(g)))
     return float((np.sum(np.abs(g) ** p) / X.shape[0]) ** (1.0 / p))

@@ -235,6 +235,10 @@ def test_kink_exponent_clipping():
                                  kind="mixed", a=(3.0,))
     lams = analysis._kink_exponents(rough, 2)
     assert all(0.0 < l < 1.0 for l in lams)
+    # for the box the cap r - 1 - 1e-9 is negative; the floor wins
+    box = grids.SmoothnessSpec(d=2, r=1, p=2.0, theta=0.25, q=2.0,
+                               kind="mixed", a=(0.5, 0.75))
+    assert analysis._kink_exponents(box, 1) == [1e-6, 1e-6]
 
 
 def test_kink_integral_value():

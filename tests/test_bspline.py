@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline
-from oracles import cox_de_boor, eval_dilated, integral_on_cube, shift_ranges
+from oracles import (cox_de_boor, eval_dilated, integral_dilated_1d,
+                     integral_on_cube, shift_ranges)
+
+
+def integral(r, k, s):
+    """bspline.integral_vector's entry for shift s; a shift outside
+    shift_bounds(r, k) has no entry, its spline vanishes on [0,1]."""
+    lo, hi = bspline.shift_bounds(r, k)
+    return bspline.integral_vector(r, k)[s - lo] if lo <= s <= hi else 0.0
 
 
 def test_frozen_center_values():
@@ -90,16 +98,15 @@ def test_integral_interior_is_meshwidth(r):
     k = 4
     den = bspline.shift_denominator(r)
     s = den * (1 << (k - 1))  # centered at 1/2
-    assert math.isclose(bspline.integral_dilated_1d(r, k, s), 0.5**k,
-                        rel_tol=1e-13)
+    assert math.isclose(integral(r, k, s), 0.5**k, rel_tol=1e-13)
 
 
 def test_integral_truncated_values():
     # order 2 hat at the left edge keeps only its right half
-    assert math.isclose(bspline.integral_dilated_1d(2, 0, 0), 0.5)
-    assert math.isclose(bspline.integral_dilated_1d(2, 2, 0), 0.125)
+    assert math.isclose(integral(2, 0, 0), 0.5)
+    assert math.isclose(integral(2, 2, 0), 0.125)
     # order 1 box at s=0 on level 0 covers [0, 1/2)
-    assert math.isclose(bspline.integral_dilated_1d(1, 0, 0), 0.5)
+    assert math.isclose(integral(1, 0, 0), 0.5)
 
 
 @pytest.mark.parametrize("r,k,s", [(2, 1, 0), (3, 1, -1), (4, 2, -1),
@@ -110,15 +117,28 @@ def test_integral_against_quadrature(r, k, s):
     den = bspline.shift_denominator(r)
     val, _ = quad(lambda x: bspline.eval_centered(r, (1 << k) * x - s / den),
                   0.0, 1.0, limit=200)
-    assert math.isclose(bspline.integral_dilated_1d(r, k, s), val,
-                        rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(integral(r, k, s), val, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_integral_on_cube_is_product():
     v = integral_on_cube(4, (1, 2), (1, 3))
-    v1 = bspline.integral_dilated_1d(4, 1, 1)
-    v2 = bspline.integral_dilated_1d(4, 2, 3)
+    v1 = integral(4, 1, 1)
+    v2 = integral(4, 2, 3)
     assert math.isclose(v, v1 * v2)
+
+
+@pytest.mark.parametrize("r", bspline.ORDERS)
+def test_integral_vector_matches_per_shift_reference(r):
+    # one Gauss integral per distinct clipped support gives, bit for bit,
+    # what integrating every shift on its own gives
+    for k in range(13):
+        lo, hi = bspline.shift_bounds(r, k)
+        want = [integral_dilated_1d(r, k, s) for s in range(lo, hi + 1)]
+        got = bspline.integral_vector(r, k)
+        assert np.array_equal(got, want), (r, k)
+        if r == 1:
+            # the right-open box past x = 1 meets [0,1] in one point
+            assert got[-1] == 0.0
 
 
 @pytest.mark.parametrize("r", bspline.ORDERS)

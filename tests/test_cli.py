@@ -138,6 +138,21 @@ def test_recover_sweep(mixed_cfg, tmp_path):
         assert int(n) > 0 and float(e) > 0
 
 
+def test_recover_order_one_default_corpus():
+    # the kink exponent is clipped below r - 1, which is 0 for the box:
+    # the floor keeps it positive, so the kink is finite at the node 1/2
+    res = run_cli("recover", "--set", "problem.family=mixed",
+                  "--set", "problem.d=2", "--set", "problem.r=1",
+                  "--set", "problem.p=2", "--set", "problem.theta=0.25",
+                  "--set", "problem.q=2", "--set", "problem.a=0.5,0.75",
+                  "--set", "sweep.budgets=100,500,2000")
+    assert res.returncode == 0, res.stderr
+    header, rows = parse_csv(res.stdout)
+    assert [r[1] for r in rows] == ["poly"] * 3 + ["sinprod"] * 3 + \
+        ["kink"] * 3
+    assert all(math.isfinite(float(r[header.index("error")])) for r in rows)
+
+
 def test_integrate_sweep(mixed_cfg):
     res = run_cli("integrate", "-c", mixed_cfg,
                   "--set", "sweep.corpus=sinprod")

@@ -6,7 +6,7 @@ import pytest
 
 from sgqi import bspline, quasi_interp as qi
 from oracles import (MASKS, BoundaryExtendedSampler as extend, a_coeff,
-                     a_weights, coeff_bounds, faber_table, pairs_even,
+                     a_weights, faber_table, pairs_even,
                      pairs_odd, surplus_bounds, surplus_weights, table_csr)
 
 
@@ -94,11 +94,18 @@ def test_refinement_pairs():
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_tables_match_exact_rational_oracle(r):
     # every entry is float() of the exact rational weight, bit for bit
+    # both tables sit on the shift rows; the sample functional of integer
+    # shift s is row den s, odd rows of odd orders stay empty
+    den = bspline.shift_denominator(r)
+
+    def sample_row(r, k, s):
+        return a_weights(r, k, s // den) if s % den == 0 else ()
+
     for k in range(13):
-        for (M, first), (lo, hi), table in (
-                (qi.surplus_matrix(r, k), surplus_bounds(r, k),
-                 surplus_weights),
-                (qi.sample_matrix(r, k), coeff_bounds(r, k), a_weights)):
+        lo, hi = surplus_bounds(r, k)
+        for (M, first), table in (
+                (qi.surplus_matrix(r, k), surplus_weights),
+                (qi.sample_matrix(r, k), sample_row)):
             want = table_csr([table(r, k, s) for s in range(lo, hi + 1)], k)
             assert first == lo
             assert M.shape == want.shape
@@ -144,13 +151,11 @@ def test_surplus_annihilates_constants_odd_orders():
     rng = np.random.default_rng(9)
     X = rng.uniform(0.0, 1.0, size=(60, 1))
     for r in (1, 3):
-        den = bspline.shift_denominator(r)
         for k in (1, 2, 3):
             lev = qi.q_level(lambda x: 1.0, r, (k,))
             tot = sum(w for _, w in surplus_weights(r, k, 1))
             assert tot != 0  # the redundancy is real
-            vals = bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs,
-                                          X, den=den)
+            vals = bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs, X)
             np.testing.assert_allclose(vals, 0.0, atol=1e-13)
 
 
@@ -171,12 +176,10 @@ def test_surplus_annihilates_reproduced_polynomials(r, kmin):
 def test_surplus_vanishes_on_polynomials_odd_orders(r, kmin):
     rng = np.random.default_rng(17)
     X = rng.uniform(0.0, 1.0, size=(60, 1))
-    den = bspline.shift_denominator(r)
     f = lambda x: x ** (r - 1)
     for k in (kmin, kmin + 1):
         lev = qi.q_level(f, r, (k,))
-        vals = bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs, X,
-                                      den=den)
+        vals = bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs, X)
         np.testing.assert_allclose(vals, 0.0, atol=1e-12)
 
 
@@ -186,8 +189,10 @@ def test_a_weights_agree_with_sampler_path():
         direct = a_coeff(extend(f, k, r), s)
         h = 0.5**k
         table = sum(float(w) * f(nd * h) for nd, w in a_weights(r, k, s))
+        # integer shift s is row den s - lo of the sample table
         A, lo = qi.sample_matrix(r, k)
-        package = (A @ np.array([f(x) for x in nodes(k)]))[s - lo]
+        row = bspline.shift_denominator(r) * s - lo
+        package = (A @ np.array([f(x) for x in nodes(k)]))[row]
         for got in (table, package):
             assert math.isclose(direct, got, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -198,12 +203,10 @@ def test_telescoping_univariate(r):
     rng = np.random.default_rng(11)
     X = rng.uniform(0.0, 1.0, size=(50, 1))
     direct = qi.apply_Q(f, r, (3,), X)
-    den = bspline.shift_denominator(r)
     total = np.zeros(50)
     for k in range(4):
         lev = qi.q_level(f, r, (k,))
-        total += bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs, X,
-                                        den=den)
+        total += bspline.eval_expansion(r, (k,), lev.s_min, lev.coeffs, X)
     np.testing.assert_allclose(total, direct, atol=1e-12)
 
 
@@ -213,13 +216,12 @@ def test_telescoping_box_2d(r):
     rng = np.random.default_rng(5)
     X = rng.uniform(0.0, 1.0, size=(40, 2))
     direct = qi.apply_Q(f, r, (1, 2), X)
-    den = bspline.shift_denominator(r)
     total = np.zeros(40)
     for k1 in range(2):
         for k2 in range(3):
             lev = qi.q_level(f, r, (k1, k2))
             total += bspline.eval_expansion(r, (k1, k2), lev.s_min,
-                                            lev.coeffs, X, den=den)
+                                            lev.coeffs, X)
     np.testing.assert_allclose(total, direct, atol=1e-12)
 
 
@@ -228,9 +230,7 @@ def test_level_zero_reproduces_constants():
     X = rng.uniform(0.0, 1.0, size=(30, 1))
     for r in bspline.ORDERS:
         lev = qi.q_level(lambda x: 1.0, r, (0,))
-        den = bspline.shift_denominator(r)
-        vals = bspline.eval_expansion(r, (0,), lev.s_min, lev.coeffs, X,
-                                      den=den)
+        vals = bspline.eval_expansion(r, (0,), lev.s_min, lev.coeffs, X)
         np.testing.assert_allclose(vals, 1.0, atol=1e-13)
 
 
@@ -246,9 +246,11 @@ def test_matrix_shapes():
     assert lo == b_lo
     assert W.shape == (b_hi - b_lo + 1, 5)
     A, a_lo = qi.sample_matrix(3, 1)
-    c_lo, c_hi = qi.coeff_shift_bounds(3, 1)
+    c_lo, c_hi = bspline.shift_bounds(3, 1)
     assert a_lo == c_lo
     assert A.shape == (c_hi - c_lo + 1, 3)
+    # integer shifts of the odd order land on the even rows
+    assert A[1::2].nnz == 0 and A[0::2].getnnz(axis=1).all()
 
 
 def test_vectorize_handle_signatures():
