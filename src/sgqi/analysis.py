@@ -9,10 +9,10 @@ products, kinks with tunable smoothness).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,17 +22,6 @@ from .quasi_interp import vectorize_handle
 
 _LATTICE_CAP = 1 << 24
 _FALLBACK_POINTS = 10 ** 6
-_CHUNK = 1 << 16
-
-
-def max_threads() -> int:
-    """Thread cap for chunked estimators, from SGQI_MAX_THREADS (default 1)."""
-    raw = os.environ.get("SGQI_MAX_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass
@@ -81,8 +70,15 @@ def _lattice_axes(rec, resolution, offset):
     return axes, wts
 
 
-def _chunk_ranges(total, chunk):
-    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+def _tiles(shape):
+    """Sub-boxes of at most recovery.SLAB points that cover the lattice,
+    their edges filled from the last axis backwards, whatever its shape."""
+    steps, room = [], recovery.SLAB
+    for n in reversed(shape):
+        steps.insert(0, max(1, min(n, room)))
+        room //= steps[0]
+    return itertools.product(*([slice(a, a + s) for a in range(0, n, s)]
+                               for n, s in zip(shape, steps)))
 
 
 def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
@@ -92,41 +88,29 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
     method: "lattice" (tensor trapezoid, or midpoint when offset=True),
     "halton", or "mc"; None picks the lattice unless its total size would
     exceed 2^24 points, then falls back to 10^6 Halton points.  q_norm may
-    be inf for the lattice max.
+    be inf for the lattice max, which is walked in tiles (see _tiles).
+    Non-finite values of f raise ValueError.
     """
     if not (q_norm > 0):
         raise ValueError("q must be positive")
+    if points is not None and points < 1:
+        raise ValueError("points must be at least 1")
     fv = vectorize_handle(f, rec.d)
 
-    if method is None:
+    if method in (None, "lattice"):
         axes, wts = _lattice_axes(rec, resolution, offset)
-        total = math.prod(len(ax) for ax in axes)
-        method = "lattice" if total <= _LATTICE_CAP else "halton"
-
+        big = math.prod(map(len, axes)) > _LATTICE_CAP
+        method = "halton" if method is None and big else "lattice"
     if method == "lattice":
-        axes, wts = _lattice_axes(rec, resolution, offset)
-        shape = tuple(len(ax) for ax in axes)
-        total = math.prod(shape)
-
-        def _block(rng):
-            lo, hi = rng
-            idx = np.unravel_index(np.arange(lo, hi), shape)
-            X = np.column_stack([axes[i][idx[i]] for i in range(rec.d)])
-            diff = np.abs(fv(X) - recovery.evaluate_batch(rec, X))
-            if math.isinf(q_norm):
-                return float(diff.max())
-            w = wts[0][idx[0]].copy()
-            for i in range(1, rec.d):
-                w *= wts[i][idx[i]]
-            return float(np.dot(w, diff ** q_norm))
-
-        ranges = _chunk_ranges(total, _CHUNK)
-        nthr = max_threads()
-        if nthr > 1 and len(ranges) > 1:
-            with ThreadPoolExecutor(max_workers=nthr) as pool:
-                parts = list(pool.map(_block, ranges))
-        else:
-            parts = [_block(rng) for rng in ranges]
+        parts = []
+        for box in _tiles([len(ax) for ax in axes]):
+            sub = [ax[sl] for ax, sl in zip(axes, box)]
+            R = recovery.evaluate_lattice(rec, sub)
+            X = np.stack(np.meshgrid(*sub, indexing="ij"), -1)
+            diff = np.abs(fv(X.reshape(R.size, -1)) - R.reshape(-1))
+            w = reduce(np.multiply.outer, [wt[s] for wt, s in zip(wts, box)])
+            parts.append(float(diff.max() if math.isinf(q_norm) else
+                               np.dot(w.reshape(-1), diff ** q_norm)))
         if math.isinf(q_norm):
             return max(parts)
         return math.fsum(parts) ** (1.0 / q_norm)
@@ -238,8 +222,8 @@ def fit_rate(points) -> RateFit:
     es = np.array([e for _, e in pts])
     if not (np.diff(ns) > 0).all():
         raise ValueError("budgets must be strictly increasing")
-    if (es <= 0).any():
-        raise ValueError("cannot fit log of nonpositive")
+    if not (np.isfinite(es) & (es > 0)).all():
+        raise ValueError("cannot fit log of nonpositive or non-finite")
     A = np.vstack([np.log2(ns), np.ones_like(ns)]).T
     y = np.log2(es)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

@@ -128,41 +128,46 @@ def integral_vector(r: int, k: int) -> np.ndarray:
     return out
 
 
-def eval_expansion(r: int, k, s_min, coeffs: np.ndarray,
-                   X: np.ndarray) -> np.ndarray:
-    """Evaluate a single-level tensor spline expansion at many points.
+def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
+    """Evaluate a single-level tensor spline expansion at the (npts, d)
+    points X, or on a list of d coordinate arrays that broadcast (a lattice
+    passes axis i extending along dimension i), in their broadcast shape.
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
-    dimension) of shift_bounds(r, k).  X has shape (npts, d).  Shifts
-    outside the coefficient array contribute nothing.
+    dimension) of shift_bounds(r, k).  Shifts outside the coefficient
+    array contribute nothing.
     """
     k = _as_level(k)
     d = len(k)
     den = shift_denominator(r)
-    npts = X.shape[0]
     m = den * r  # candidate shifts per dimension covering the support
-    # per dimension, row j of vals and offs holds the j-th candidate of
-    # every point: its spline value and its offset into the flat coeffs
+    # per dimension, entry j of vals and offs holds the j-th candidate of
+    # every coordinate: its spline value and its offset into the flat coeffs
     offs = []
     vals = []
-    for i in range(d):
-        u = X[:, i] * float(1 << k[i])
+    for i, x in enumerate(X.T if isinstance(X, np.ndarray) else X):
+        u = x * float(1 << k[i])
         a = den * u - den * r / 2.0
         s_lo = np.floor(a).astype(np.int64) + 1
-        cand = np.arange(m, dtype=np.int64)[:, None] + s_lo[None, :]
-        B = eval_centered(r, u[None, :] - cand / den)
+        cand = np.arange(m).reshape((m,) + (1,) * u.ndim) + s_lo
+        B = eval_centered(r, u - cand / den)
         col = cand - s_min[i]
         inside = (col >= 0) & (col < coeffs.shape[i])
         vals.append(np.where(inside, B, 0.0))
         offs.append(np.clip(col, 0, coeffs.shape[i] - 1)
                     * math.prod(coeffs.shape[i + 1:]))
+    shape = np.broadcast_shapes(*(v.shape[1:] for v in vals))
     flat = coeffs.reshape(-1)
-    out = np.zeros(npts)
+    out = np.zeros(shape)
+    w, idx, term = np.empty(shape), np.empty(shape, np.int64), np.empty(shape)
     for combo in np.ndindex(*([m] * d)):
-        w = vals[0][combo[0]].copy()
-        idx = offs[0][combo[0]]
+        np.copyto(w, vals[0][combo[0]])
+        np.copyto(idx, offs[0][combo[0]])
         for i in range(1, d):
             w *= vals[i][combo[i]]
-            idx = idx + offs[i][combo[i]]
-        out += flat.take(idx) * w
+            idx += offs[i][combo[i]]
+        # offsets are clipped already; the default mode buffers the take
+        np.take(flat, idx, out=term, mode="clip")
+        term *= w
+        out += term
     return out

@@ -206,6 +206,8 @@ def _error_kwargs(cfg, spec):
     points = sw.get("points")
     points = None if points in (None, "", "auto") else \
         _as_int(points, "sweep.points")
+    if points is not None and points < 1:
+        raise ConfigError("sweep.points must be at least 1")
     offset = sw.get("offset", "false").strip().lower() in ("1", "true", "yes")
     seed = _as_int(sw.get("seed", "7"), "sweep.seed")
     return dict(q_norm=q_norm, resolution=resolution, offset=offset,

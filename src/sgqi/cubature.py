@@ -75,7 +75,8 @@ def assemble_weights(delta: LevelSet, r: int) -> CubatureRule:
 
 
 def apply_rule(rule: CubatureRule, f) -> float:
-    """Evaluate f once per grid point and return the weighted sum."""
+    """Evaluate f once per grid point and return the weighted sum;
+    non-finite values of f raise ValueError."""
     fv = vectorize_handle(f, rule.d)
     pts = rule.points()
     vals = fv(pts)

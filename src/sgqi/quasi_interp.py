@@ -180,7 +180,7 @@ def vectorize_handle(f, d: int):
     f may take the (npts, d) array, one array per coordinate, d scalars or
     one row.  The convention is found on the first input f is really asked
     for, trying each in that order, so f is called on no other points.
-    Every result must hold one value per input row, else ValueError.
+    Every result must hold one finite value per input row, else ValueError.
     """
     tries = [lambda X: f(X), lambda X: f(*X.T),
              lambda X: [f(*row) for row in X]]
@@ -192,19 +192,26 @@ def vectorize_handle(f, d: int):
         nonlocal found
         X = np.asarray(X, dtype=float)
         if found is not None:
-            return _one_per_row(found(X), len(X))
-        first = None
-        for call in tries:
-            try:
-                y = _one_per_row(call(X), len(X))
-            except Exception as exc:  # f does not take this convention
-                first = first or exc
-                continue
-            found = call
-            return y
-        raise ValueError("f accepts none of the calling conventions "
-                         "(npts, d) array, d arrays, d scalars or one row; "
-                         f"as an (npts, d) array: {first}") from first
+            y = _one_per_row(found(X), len(X))
+        else:
+            first = None
+            for call in tries:
+                try:
+                    y = _one_per_row(call(X), len(X))
+                except Exception as exc:  # f does not take this convention
+                    first = first or exc
+                    continue
+                found = call
+                break
+            else:
+                raise ValueError(
+                    "f accepts none of the calling conventions (npts, d) "
+                    "array, d arrays, d scalars or one row; as an (npts, d) "
+                    f"array: {first}") from first
+        bad = np.count_nonzero(~np.isfinite(y))
+        if bad:
+            raise ValueError(f"{bad} of {len(y)} samples are not finite")
+        return y
 
     return fv
 

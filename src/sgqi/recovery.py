@@ -23,6 +23,8 @@ from .grids import LevelSet, sample_grid
 from .quasi_interp import (SurplusLevel, _apply_along_axis, refine_matrix,
                            surplus_level, surplus_matrix, vectorize_handle)
 
+SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
+
 
 @dataclass
 class Reconstruction:
@@ -48,9 +50,6 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
     """
     grid = sample_grid(delta)
     vals = vectorize_handle(f, delta.d)(grid.coords())
-    bad = np.count_nonzero(~np.isfinite(vals))
-    if bad:
-        raise ValueError(f"{bad} of {len(vals)} samples are not finite")
     surplus = {}
     for k in delta.levels:
         T = vals[grid.positions(k)].reshape([(1 << ki) + 1 for ki in k])
@@ -96,8 +95,7 @@ def _level_groups(rec: Reconstruction):
         yield top.k, top.s_min, acc
 
 
-def evaluate_batch(rec: Reconstruction, points,
-                   chunk: int = 1 << 16) -> np.ndarray:
+def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
     """Reconstruction values at many points (shape (npts, d) or a flat
     array for d = 1); order matches the input.
 
@@ -111,14 +109,28 @@ def evaluate_batch(rec: Reconstruction, points,
         X = X.reshape(-1, 1) if rec.d == 1 else X.reshape(1, -1)
     if X.shape[1] != rec.d:
         raise ValueError("point dimension mismatch")
-    if (X < 0.0).any() or (X > 1.0).any():
-        raise ValueError("evaluation point outside domain")
+    if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
+        raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros(X.shape[0])
-    # groups outside, chunks inside: one collapsed array alive at a time
+    # groups outside, slabs inside: one collapsed array alive at a time
     for k, s_min, coeffs in _level_groups(rec):
-        for start in range(0, X.shape[0], chunk):
-            sl = slice(start, min(start + chunk, X.shape[0]))
+        for start in range(0, X.shape[0], SLAB):
+            sl = slice(start, start + SLAB)
             out[sl] += bspline.eval_expansion(rec.r, k, s_min, coeffs, X[sl])
+    return out
+
+
+def evaluate_lattice(rec: Reconstruction, axes) -> np.ndarray:
+    """Reconstruction values on the tensor lattice of d coordinate vectors,
+    bitwise equal to evaluate_batch at its points in C order."""
+    coords = np.ix_(*(np.asarray(ax, dtype=float) for ax in axes))
+    if len(coords) != rec.d:
+        raise ValueError("point dimension mismatch")
+    if not all(((x >= 0.0) & (x <= 1.0)).all() for x in coords):
+        raise ValueError("evaluation point outside domain or not finite")
+    out = np.zeros([x.size for x in coords])
+    for k, s_min, coeffs in _level_groups(rec):
+        out += bspline.eval_expansion(rec.r, k, s_min, coeffs, coords)
     return out
 
 

@@ -8,9 +8,10 @@ boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
 here as their references: the per-level evaluation kernel (it calls the
-package's single-level bspline.eval_expansion), the pointwise tensor
-spline and the one-shift-at-a-time spline integrals (they call
-bspline.eval_centered).
+package's single-level bspline.eval_expansion), the scattered-point
+expansion kernel with fresh arrays per candidate combination, the
+pointwise tensor spline and the one-shift-at-a-time spline integrals
+(they call bspline.eval_centered).
 """
 
 import math
@@ -349,8 +350,7 @@ def dict_weights(levels, level_weights):
 SKIP_TOL = 1e-14
 
 
-def per_level_evaluate(rec, X, chunk: int = 1 << 16,
-                       skip_tol: float = SKIP_TOL) -> np.ndarray:
+def per_level_evaluate(rec, X, skip_tol: float = SKIP_TOL) -> np.ndarray:
     """Sum of one single-level expansion per level at the (npts, d)
     points X.  Levels whose coefficients are uniformly below skip_tol
     relative to the largest coefficient are skipped; skip_tol=0 sums all.
@@ -361,14 +361,47 @@ def per_level_evaluate(rec, X, chunk: int = 1 << 16,
     scale = max((float(np.max(np.abs(lvl.coeffs)))
                  for lvl in rec.surplus.values()), default=0.0)
     cutoff = skip_tol * scale
-    active = [lvl for lvl in rec.surplus.values()
-              if float(np.max(np.abs(lvl.coeffs))) > cutoff]
     out = np.zeros(X.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        sl = slice(start, min(start + chunk, X.shape[0]))
-        for lvl in active:
-            out[sl] += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
-                                              lvl.coeffs, X[sl])
+    for lvl in rec.surplus.values():
+        if float(np.max(np.abs(lvl.coeffs))) > cutoff:
+            out += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
+                                          lvl.coeffs, X)
+    return out
+
+
+def scattered_expansion(r: int, k, s_min, coeffs: np.ndarray,
+                        X: np.ndarray) -> np.ndarray:
+    """bspline.eval_expansion as it was before its lattice form: the same
+    products and sums in the same order, each combination of candidate
+    shifts in fresh arrays, so the package's kernel must match it bit for
+    bit."""
+    from sgqi import bspline
+
+    d = len(k)
+    den = bspline.shift_denominator(r)
+    m = den * r
+    offs = []
+    vals = []
+    for i in range(d):
+        u = X[:, i] * float(1 << k[i])
+        a = den * u - den * r / 2.0
+        s_lo = np.floor(a).astype(np.int64) + 1
+        cand = np.arange(m, dtype=np.int64)[:, None] + s_lo[None, :]
+        B = bspline.eval_centered(r, u[None, :] - cand / den)
+        col = cand - s_min[i]
+        inside = (col >= 0) & (col < coeffs.shape[i])
+        vals.append(np.where(inside, B, 0.0))
+        offs.append(np.clip(col, 0, coeffs.shape[i] - 1)
+                    * math.prod(coeffs.shape[i + 1:]))
+    flat = coeffs.reshape(-1)
+    out = np.zeros(X.shape[0])
+    for combo in np.ndindex(*([m] * d)):
+        w = vals[0][combo[0]].copy()
+        idx = offs[0][combo[0]]
+        for i in range(1, d):
+            w *= vals[i][combo[i]]
+            idx = idx + offs[i][combo[i]]
+        out += flat.take(idx) * w
     return out
 
 

@@ -83,24 +83,49 @@ def test_estimator_validation():
         analysis.discrete_lq_error(lambda x: x, rec, 2.0, resolution=1)
 
 
-def test_threaded_lattice_matches_serial(monkeypatch):
-    f = lambda X: np.cos(2.0 * X[:, 0]) + X[:, 1] ** 2
-    rec = recovery.build(f, box_set((2, 1)), 2)
-    serial = analysis.discrete_lq_error(f, rec, 2.0, resolution=301)
-    monkeypatch.setenv("SGQI_MAX_THREADS", "3")
-    threaded = analysis.discrete_lq_error(f, rec, 2.0, resolution=301)
-    assert serial == threaded
+@pytest.mark.parametrize("q", [2.0, math.inf])
+@pytest.mark.parametrize("method", ["lattice", "halton", "mc"])
+def test_rejects_non_finite_f(method, q):
+    rec = recovery.build(lambda X: X[:, 0], box_set((2, 2)), 2)
+    f = lambda X: np.where(X[:, 0] > 0.5, np.nan, X[:, 0])
+    with pytest.raises(ValueError, match="not finite"):
+        analysis.discrete_lq_error(f, rec, q, method=method, resolution=33,
+                                   points=1000)
 
 
-def test_max_threads_parsing(monkeypatch):
-    monkeypatch.delenv("SGQI_MAX_THREADS", raising=False)
-    assert analysis.max_threads() == 1
-    monkeypatch.setenv("SGQI_MAX_THREADS", "4")
-    assert analysis.max_threads() == 4
-    monkeypatch.setenv("SGQI_MAX_THREADS", "0")
-    assert analysis.max_threads() == 1
-    monkeypatch.setenv("SGQI_MAX_THREADS", "junk")
-    assert analysis.max_threads() == 1
+@pytest.mark.parametrize("method", ["halton", "mc"])
+def test_rejects_points_below_one(method):
+    rec = recovery.build(lambda X: X[:, 0], box_set((2, 2)), 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        analysis.discrete_lq_error(lambda X: X[:, 0], rec, 2.0,
+                                   method=method, points=0)
+
+
+@pytest.mark.parametrize("offset", [False, True])
+def test_lattice_tiles_partition_the_lattice(monkeypatch, offset):
+    f = lambda X: np.cos(2.0 * X[:, 0]) + X[:, 1] ** 2 * X[:, 2]
+    rec = recovery.build(f, box_set((2, 1, 1)), 3)
+    res = (29, 17, 9)
+    whole = [analysis.discrete_lq_error(f, rec, q, resolution=res,
+                                        offset=offset)
+             for q in (1.0, 2.0, math.inf)]
+    # 7-point tiles cut the last axis unevenly, the others point by point
+    monkeypatch.setattr(recovery, "SLAB", 7)
+    tiled = [analysis.discrete_lq_error(f, rec, q, resolution=res,
+                                        offset=offset)
+             for q in (1.0, 2.0, math.inf)]
+    np.testing.assert_allclose(tiled[:2], whole[:2], rtol=1e-14)
+    assert tiled[2] == whole[2]
+
+
+@pytest.mark.parametrize("shape", [(2, 1 << 23), (2049, 1025), (3, 5, 7),
+                                   (1 << 20,), (70000, 2, 2)])
+def test_lattice_tiles_stay_bounded(shape):
+    hits = np.zeros(shape, dtype=np.int8)
+    for box in analysis._tiles(shape):
+        assert hits[box].size <= recovery.SLAB
+        hits[box] += 1
+    assert (hits == 1).all()
 
 
 def test_quasinorm_single_level_identity():
@@ -200,6 +225,12 @@ def test_fit_rate_validation():
         analysis.fit_rate([(10, 1.0), (10, 0.5), (40, 0.25), (80, 0.1)])
     with pytest.raises(ValueError, match="nonpositive"):
         analysis.fit_rate([(10, 1.0), (20, 0.0), (40, 0.25), (80, 0.1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rate_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        analysis.fit_rate([(10, 1.0), (20, bad), (40, 0.25), (80, 0.1)])
 
 
 def test_corpus_labels_and_integrals():

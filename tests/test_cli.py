@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -14,9 +13,8 @@ import pytest
 
 
 def run_cli(*argv, cwd=None):
-    env = dict(os.environ, SGQI_MAX_THREADS="1")
     return subprocess.run([sys.executable, "-m", "sgqi.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 MIXED_INI = """\
@@ -309,6 +307,15 @@ def test_exit_2_unknown_corpus(mixed_cfg):
                   "--set", "sweep.corpus=nosuch")
     assert res.returncode == 2
     assert "nosuch" in res.stderr
+
+
+def test_exit_2_points_below_one(mixed_cfg):
+    # zero Halton points used to print nan error rows and exit 0
+    res = run_cli("recover", "-c", mixed_cfg, "--set", "sweep.method=halton",
+                  "--set", "sweep.points=0")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "sweep.points" in res.stderr
 
 
 def test_exit_3_budget_below_minimal(mixed_cfg):

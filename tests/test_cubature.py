@@ -103,6 +103,13 @@ def test_apply_rule_handle_styles():
                         cubature.apply_rule(rule, f_xy))
 
 
+def test_apply_rule_rejects_non_finite_f():
+    rule = cubature.assemble_weights(box_set((2, 2)), 2)
+    f = lambda X: np.where(X[:, 0] > 0.5, np.nan, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        cubature.apply_rule(rule, f)
+
+
 def test_exact_decimal_strings():
     assert cubature._exact_decimal(0, 0) == "0"
     assert cubature._exact_decimal(1, 0) == "1"

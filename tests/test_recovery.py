@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline, grids, quasi_interp as qi, recovery
-from oracles import per_level_evaluate
+from oracles import per_level_evaluate, scattered_expansion
 from test_grids import downward_closed_sets
 
 
@@ -113,6 +113,23 @@ def test_input_validation():
         recovery.evaluate_batch(rec, np.array([[0.5, 1.5]]))
     with pytest.raises(ValueError, match="outside domain"):
         recovery.evaluate_batch(rec, np.array([[-0.1, 0.5]]))
+    with pytest.raises(ValueError, match="outside domain"):
+        recovery.evaluate_lattice(rec, [[0.5], [1.5]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        recovery.evaluate_lattice(rec, [[0.5]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_points(bad):
+    # NaN passes the domain bounds and floor(nan) lands outside every
+    # support, which read as 0 for f = 1 instead of failing
+    rec = recovery.build(lambda X: np.ones(len(X)), box_set((1, 1)), 2)
+    with pytest.raises(ValueError, match="not finite"):
+        recovery.evaluate(rec, [bad, 0.5])
+    with pytest.raises(ValueError, match="not finite"):
+        recovery.evaluate_batch(rec, np.array([[0.5, 0.5], [0.5, bad]]))
+    with pytest.raises(ValueError, match="not finite"):
+        recovery.evaluate_lattice(rec, [[0.0, bad], [0.5]])
 
 
 def test_rejects_non_finite_samples():
@@ -121,16 +138,17 @@ def test_rejects_non_finite_samples():
         recovery.build(f, grids.delta_mixed(4.0, MIXED), 4)
 
 
-def test_evaluate_matches_batch():
+def test_evaluate_matches_batch(monkeypatch):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     rng = np.random.default_rng(7)
     X = rng.uniform(0.0, 1.0, size=(20, 2))
     batch = recovery.evaluate_batch(rec, X)
     single = [recovery.evaluate(rec, x) for x in X]
     np.testing.assert_allclose(single, batch, atol=1e-15)
-    # chunked evaluation is just a partition of the work
-    np.testing.assert_allclose(recovery.evaluate_batch(rec, X, chunk=7),
-                               batch, atol=0)
+    # slabbed evaluation is just a partition of the work
+    monkeypatch.setattr(recovery, "SLAB", 7)
+    np.testing.assert_allclose(recovery.evaluate_batch(rec, X), batch,
+                               atol=0)
 
 
 def test_flat_points_in_1d():
@@ -177,6 +195,34 @@ def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
     got = recovery.evaluate_batch(rec, X)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def _lattice_axis(draw):
+    """Trapezoid or midpoint axis, maybe cut to a sub-axis slice."""
+    m = draw(st.integers(2, 9))
+    h = 1.0 / (m - 1)
+    axis = (np.arange(m - 1) + 0.5) * h if draw(st.booleans()) \
+        else np.arange(m) * h
+    lo = draw(st.integers(0, len(axis) - 1))
+    hi = draw(st.integers(lo + 1, len(axis)))
+    return axis[lo:hi]
+
+
+@settings(max_examples=80, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.data())
+def test_lattice_matches_flattened_batch(delta, r, seed, data):
+    rec = _random_reconstruction(delta, r, np.random.default_rng(seed))
+    axes = [_lattice_axis(data.draw) for _ in range(delta.d)]
+    X = np.stack([g.reshape(-1) for g in
+                  np.meshgrid(*axes, indexing="ij")], axis=1)
+    want = np.zeros(len(X))
+    for k, s_min, coeffs in recovery._level_groups(rec):
+        want += scattered_expansion(r, k, s_min, coeffs, X)
+    assert np.array_equal(recovery.evaluate_batch(rec, X), want)
+    got = recovery.evaluate_lattice(rec, axes)
+    assert got.shape == tuple(len(ax) for ax in axes)
+    assert np.array_equal(got.reshape(-1), want)
 
 
 def test_roundtrip_serialization(tmp_path):
