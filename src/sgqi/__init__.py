@@ -11,7 +11,7 @@ from .recovery import (Reconstruction, build, evaluate, evaluate_batch,
                        evaluate_lattice, load, save)
 from .cubature import (CubatureRule, apply_rule, assemble_weights,
                        integrate_reconstruction)
-from .analysis import (RateFit, TestFunction, besov_quasinorm_B3, corpus,
-                       discrete_lq_error, energy_error_surrogate, fit_rate)
+from .analysis import (RateFit, TestFunction, corpus, discrete_lq_error,
+                       energy_error_surrogate, fit_rate)
 
 __version__ = "0.1.0"

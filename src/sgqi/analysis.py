@@ -1,7 +1,6 @@
 """Error measurement and experiment analytics.
 
-Provides the discrete L_q error against a reconstruction, a discrete
-Besov-type quasinorm used as a membership diagnostic, an energy-norm
+Provides the discrete L_q error against a reconstruction, an energy-norm
 surrogate built from residual surpluses, least-squares rate fitting, and
 the analytic corpus of test functions (polynomial controls, smooth
 products, kinks with tunable smoothness).
@@ -11,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -81,6 +81,16 @@ def _tiles(shape):
                                for n, s in zip(shape, steps)))
 
 
+@lru_cache(maxsize=4)
+def _halton_design(d: int, points: int, seed) -> np.ndarray:
+    """Scrambled Halton points, read-only, as the cache shares them."""
+    from scipy.stats import qmc  # the slowest import; only Halton needs it
+
+    X = qmc.Halton(d=d, scramble=True, seed=seed).random(points)
+    X.flags.writeable = False
+    return X
+
+
 def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
                       method=None, points=None, seed=7) -> float:
     """Discrete L_q distance between f and the reconstruction.
@@ -117,58 +127,28 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
 
     npts = _FALLBACK_POINTS if points is None else int(points)
     if method == "halton":
-        # scipy.stats takes most of the package's import time; only
-        # Halton estimation needs it
-        from scipy.stats import qmc
-
-        X = qmc.Halton(d=rec.d, scramble=True,
-                       seed=seed).random(npts)
+        # an integer seed names one design; a Generator or None draws anew
+        X = (_halton_design if isinstance(seed, numbers.Integral) else
+             _halton_design.__wrapped__)(rec.d, npts, seed)
     elif method == "mc":
         X = np.random.default_rng(seed).random((npts, rec.d))
     else:
         raise ValueError("unknown error estimation method")
-    diff = np.abs(fv(X) - recovery.evaluate_batch(rec, X))
+    # f gets a copy: it may write into its input, and X may be cached
+    diff = np.abs(fv(X.copy()) - recovery.evaluate_batch(rec, X))
     if math.isinf(q_norm):
         return float(diff.max())
     return float(np.mean(diff ** q_norm) ** (1.0 / q_norm))
 
 
 # ---------------------------------------------------------------------------
-# discrete Besov-type quasinorm and energy surrogate
+# energy surrogate
 
 def _coeff_norm(arr: np.ndarray, p: float) -> float:
     a = np.abs(arr)
     if math.isinf(p):
         return float(a.max())
     return float((a ** p).sum() ** (1.0 / p))
-
-
-def _level_weight_log2(k, spec: SmoothnessSpec) -> float:
-    if spec.kind == "mixed":
-        return float(np.dot(spec.a, k))
-    return spec.alpha * sum(k) + spec.beta * max(k)
-
-
-def besov_quasinorm_B3(rec, spec: SmoothnessSpec, truncation=None) -> float:
-    """Discrete scale-weighted coefficient quasinorm (membership diagnostic).
-
-    Sums (level weight) * 2^{-|k|_1/p} * ||c_k||_p over stored levels with
-    |k|_inf <= truncation, aggregated in the theta power (sup for inf).
-    """
-    p, theta = spec.p, spec.theta
-    terms = []
-    for k, lvl in sorted(rec.surplus.items()):
-        if truncation is not None and max(k) > truncation:
-            continue
-        lg = _level_weight_log2(k, spec)
-        if not math.isinf(p):
-            lg -= sum(k) / p
-        terms.append(2.0 ** lg * _coeff_norm(lvl.coeffs, p))
-    if not terms:
-        return 0.0
-    if math.isinf(theta):
-        return max(terms)
-    return float(np.sum(np.array(terms) ** theta) ** (1.0 / theta))
 
 
 def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,

@@ -128,6 +128,44 @@ def integral_vector(r: int, k: int) -> np.ndarray:
     return out
 
 
+# (r-1)! N_r(t + r - 1 - j) on t in [0, 1) for j = 0..r-1, highest power of
+# t first; N_r(v - b) = M(v - b - r/2) is the B-spline on the knots b..b+r
+_PIECES = {
+    1: ((1,),),
+    2: ((-1, 1), (1, 0)),
+    3: ((1, -2, 1), (-2, 2, 1), (1, 0, 0)),
+    4: ((-1, 3, -3, 1), (3, -6, 0, 4), (-3, 3, 3, 1), (1, 0, 0, 0)),
+}
+
+
+def _basis_values(r: int, t: np.ndarray) -> np.ndarray:
+    """N_r(t + r - 1 - j), j = 0..r-1, along a new first axis, by Horner."""
+    v = np.zeros((r,) + t.shape)
+    for c in np.array(_PIECES[r], dtype=float).T:
+        v *= t
+        v += c.reshape((r,) + (1,) * t.ndim)
+    v /= math.factorial(r - 1)
+    return v
+
+
+def _integer_knots(r: int, k: tuple, s_min, coeffs: np.ndarray):
+    """(K, first left knot b per axis, coeffs) of the same expansion written
+    as sum_b c_b N_r(2^K x - b).  Even r: b = s - r/2 and K = k.  Odd r:
+    M(2^k x - s/2) = 2^{1-r} sum_j C(r, j) N_r(2^{k+1} x - (s + j - r)) by
+    the two-scale relation, so each axis is convolved once with the
+    binomial weights and lands on integer knots at K = k + 1."""
+    if r % 2 == 0:
+        return k, [s - r // 2 for s in s_min], coeffs
+    w = [math.comb(r, j) / (1 << (r - 1)) for j in range(r + 1)]
+    for axis in range(coeffs.ndim):
+        c = np.moveaxis(coeffs, axis, 0)
+        out = np.zeros((len(c) + r,) + c.shape[1:])
+        for j, wj in enumerate(w):
+            out[j:j + len(c)] += wj * c
+        coeffs = np.moveaxis(out, 0, axis)
+    return tuple(ki + 1 for ki in k), [s - r for s in s_min], coeffs
+
+
 def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
     """Evaluate a single-level tensor spline expansion at the (npts, d)
     points X, or on a list of d coordinate arrays that broadcast (a lattice
@@ -135,32 +173,31 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
     dimension) of shift_bounds(r, k).  Shifts outside the coefficient
-    array contribute nothing.
+    array contribute nothing.  On integer knots (_integer_knots) r splines
+    per axis are nonzero at x, with left knots floor(2^K x) - r + 1 + j.
     """
-    k = _as_level(k)
-    d = len(k)
-    den = shift_denominator(r)
-    m = den * r  # candidate shifts per dimension covering the support
+    _check_order(r)
+    K, b_min, coeffs = _integer_knots(r, _as_level(k), s_min, coeffs)
+    d = len(K)
     # per dimension, entry j of vals and offs holds the j-th candidate of
     # every coordinate: its spline value and its offset into the flat coeffs
-    offs = []
-    vals = []
+    offs, vals = [], []
     for i, x in enumerate(X.T if isinstance(X, np.ndarray) else X):
-        u = x * float(1 << k[i])
-        a = den * u - den * r / 2.0
-        s_lo = np.floor(a).astype(np.int64) + 1
-        cand = np.arange(m).reshape((m,) + (1,) * u.ndim) + s_lo
-        B = eval_centered(r, u - cand / den)
-        col = cand - s_min[i]
-        inside = (col >= 0) & (col < coeffs.shape[i])
-        vals.append(np.where(inside, B, 0.0))
-        offs.append(np.clip(col, 0, coeffs.shape[i] - 1)
-                    * math.prod(coeffs.shape[i + 1:]))
+        u = x * float(1 << K[i])
+        fl = np.floor(u)
+        B = _basis_values(r, u - fl)
+        col = (np.arange(r).reshape((r,) + (1,) * u.ndim)
+               + (fl.astype(np.int64) + (1 - r - b_min[i])))
+        B *= (col >= 0) & (col < coeffs.shape[i])  # B is finite, t in [0, 1)
+        np.clip(col, 0, coeffs.shape[i] - 1, out=col)
+        col *= math.prod(coeffs.shape[i + 1:])
+        vals.append(B)
+        offs.append(col)
     shape = np.broadcast_shapes(*(v.shape[1:] for v in vals))
     flat = coeffs.reshape(-1)
     out = np.zeros(shape)
     w, idx, term = np.empty(shape), np.empty(shape, np.int64), np.empty(shape)
-    for combo in np.ndindex(*([m] * d)):
+    for combo in np.ndindex(*([r] * d)):
         np.copyto(w, vals[0][combo[0]])
         np.copyto(idx, offs[0][combo[0]])
         for i in range(1, d):

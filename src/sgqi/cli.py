@@ -118,7 +118,9 @@ def _finite_xi(raw):
     return xi
 
 
-def _spec_from_config(cfg) -> tuple:
+def _experiment(cfg) -> tuple:
+    """(spec, family, make_delta) of the [problem] section: make_delta maps
+    xi to the family's level set."""
     prob = cfg["problem"]
     family = _need(cfg, "problem", "family")
     if family not in ("mixed", "hybrid", "energy"):
@@ -146,22 +148,15 @@ def _spec_from_config(cfg) -> tuple:
         spec = grids.SmoothnessSpec(kind="hybrid", alpha=alpha, beta=beta,
                                     gamma=gamma, **kw)
     tau = _as_float(prob.get("tau", prob.get("q", "2")), "problem.tau")
-    try:
-        spec.validate(strict=False)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    return spec, family, tau
-
-
-def _delta_factory(spec, family, tau):
     flag = grids.theta_le_taustar(spec.theta, tau)
     make = lambda xi: grids.delta_for_family(
         xi, spec, family, theta_le_taustar_flag=flag)
     try:
+        spec.validate(strict=False)
         make(0.0)  # surface epsilon/monotonicity problems as config errors
     except ValueError as e:
         raise ConfigError(str(e))
-    return make
+    return spec, family, make
 
 
 def _budget_sweep(cfg, make_delta):
@@ -218,8 +213,7 @@ def _error_kwargs(cfg, spec):
 # commands (each returns header, rows, dat-file map)
 
 def cmd_gridinfo(cfg):
-    spec, family, tau = _spec_from_config(cfg)
-    make_delta = _delta_factory(spec, family, tau)
+    spec, family, make_delta = _experiment(cfg)
     nu = grids.nu_exponent(spec, family)
     h = _config_hash(cfg)
     rows = []
@@ -235,8 +229,7 @@ def cmd_gridinfo(cfg):
 
 
 def _sweep_command(cfg, integrate: bool):
-    spec, family, tau = _spec_from_config(cfg)
-    make_delta = _delta_factory(spec, family, tau)
+    spec, family, make_delta = _experiment(cfg)
     nu = grids.nu_exponent(spec, family, integration=integrate)
     predicted = -nu
     h = _config_hash(cfg)
@@ -276,17 +269,8 @@ def _sweep_command(cfg, integrate: bool):
     return header, rows, dats
 
 
-def cmd_recover(cfg):
-    return _sweep_command(cfg, integrate=False)
-
-
-def cmd_integrate(cfg):
-    return _sweep_command(cfg, integrate=True)
-
-
 def cmd_compare(cfg):
-    spec, family, tau = _spec_from_config(cfg)
-    make_delta = _delta_factory(spec, family, tau)
+    spec, family, make_delta = _experiment(cfg)
     nu = grids.nu_exponent(spec, family)
     h = _config_hash(cfg)
     xis = [_finite_xi(tok) for tok in _need(cfg, "sweep", "xi").split(",")
@@ -317,8 +301,7 @@ def _single_xi(cfg, make_delta):
 
 
 def cmd_export_rule(cfg, out_fh):
-    spec, family, tau = _spec_from_config(cfg)
-    make_delta = _delta_factory(spec, family, tau)
+    spec, family, make_delta = _experiment(cfg)
     xi = _single_xi(cfg, make_delta)
     rule = cubature.assemble_weights(make_delta(xi), spec.r)
     cubature.export_csv(rule, out_fh)
@@ -333,8 +316,7 @@ def cmd_dump_grid(cfg, out_fh):
         xi = _finite_xi(_need(cfg, "sweep", "xi"))
         delta = grids.comparison_sets(xi, lam, family, d)
     else:
-        spec, family, tau = _spec_from_config(cfg)
-        make_delta = _delta_factory(spec, family, tau)
+        spec, family, make_delta = _experiment(cfg)
         delta = make_delta(_single_xi(cfg, make_delta))
     out_fh.write(delta.to_text())
 
@@ -380,8 +362,8 @@ def _emit(cfg, header, rows, dats):
 
 _TABLE_COMMANDS = {
     "gridinfo": cmd_gridinfo,
-    "recover": cmd_recover,
-    "integrate": cmd_integrate,
+    "recover": lambda cfg: _sweep_command(cfg, integrate=False),
+    "integrate": lambda cfg: _sweep_command(cfg, integrate=True),
     "compare": cmd_compare,
 }
 

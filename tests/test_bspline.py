@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline
-from oracles import (cox_de_boor, eval_dilated, integral_dilated_1d,
-                     integral_on_cube, shift_ranges)
+from oracles import (centered_expansion, cox_de_boor, eval_dilated,
+                     integral_dilated_1d, integral_on_cube, shift_ranges)
 
 
 def integral(r, k, s):
@@ -156,6 +156,34 @@ def test_eval_expansion_matches_direct_sum(r):
             want += coeffs[i, j] * np.array(
                 [eval_dilated(r, k, (s1, s2), x) for x in X])
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_eval_expansion_matches_centered_kernel(r, d, crop, seed, data):
+    # the integer-knot kernel against the half-integer candidate kernel it
+    # replaced, on a coefficient box that may be a cut of the shift bounds,
+    # at random points, the knots of both schemes, 0 and 1
+    k = tuple(data.draw(st.lists(st.integers(0, 4 if d <= 2 else 2),
+                                 min_size=d, max_size=d)))
+    rng = np.random.default_rng(seed)
+    s_min, cut = [], []
+    for lo, hi in (bspline.shift_bounds(r, ki) for ki in k):
+        a = int(rng.integers(0, hi - lo + 1)) if crop else 0
+        b = int(rng.integers(a + 1, hi - lo + 2)) if crop else hi - lo + 1
+        s_min.append(lo + a)
+        cut.append(b - a)
+    coeffs = rng.standard_normal(cut)
+    top = max(k) + 1
+    knots = np.arange((1 << top) + 1) / (1 << top)
+    X = np.vstack([rng.random((30, d)), rng.choice(knots, size=(30, d)),
+                   rng.choice([0.0, 1.0], size=(8, d)), np.zeros((1, d)),
+                   np.ones((1, d))])
+    want = centered_expansion(r, k, s_min, coeffs, X)
+    got = bspline.eval_expansion(r, k, s_min, coeffs, X)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_order_out_of_range():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline, grids, quasi_interp as qi, recovery
-from oracles import per_level_evaluate, scattered_expansion
+from oracles import centered_expansion, per_level_evaluate
+from test_acceptance import K0
 from test_grids import downward_closed_sets
 
 
@@ -179,22 +181,94 @@ def _random_reconstruction(delta, r, rng):
                                    declared_budget=delta.budget())
 
 
+def _probe_points(delta, rng):
+    """Random points, the corners and knots of the finest half-integer
+    mesh of the level set."""
+    top = max(delta.max_level()) + 1
+    knots = np.arange((1 << top) + 1) / (1 << top)
+    return np.vstack([rng.random((20, delta.d)), np.zeros((1, delta.d)),
+                      np.ones((1, delta.d)),
+                      rng.choice(knots, size=(20, delta.d)),
+                      rng.choice([0.0, 1.0], size=(8, delta.d))])
+
+
+def _wave(rng, d):
+    w = rng.uniform(-3.0, 3.0, d)
+    b = rng.uniform(0.0, 2.0 * np.pi)
+    return lambda X: np.cos(X @ w + b)
+
+
+def _close(got, want, tol):
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=tol * max(1.0, np.abs(want).max()))
+
+
 @settings(max_examples=60, deadline=None)
 @given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
     rng = np.random.default_rng(seed)
     rec = _random_reconstruction(delta, r, rng)
-    # random points, the corners and knots of the finest half-integer mesh
-    top = max(delta.max_level()) + 1
-    knots = np.arange((1 << top) + 1) / (1 << top)
-    X = np.vstack([rng.random((20, delta.d)), np.zeros((1, delta.d)),
-                   np.ones((1, delta.d)),
-                   rng.choice(knots, size=(20, delta.d)),
-                   rng.choice([0.0, 1.0], size=(8, delta.d))])
+    X = _probe_points(delta, rng)
     want = per_level_evaluate(rec, X, skip_tol=0.0)
-    got = recovery.evaluate_batch(rec, X)
-    np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-12 * max(1.0, np.abs(want).max()))
+    _close(recovery.evaluate_batch(rec, X), want, 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_reconstruction_is_linear_in_f(delta, r, seed):
+    rng = np.random.default_rng(seed)
+    f, g = _wave(rng, delta.d), _wave(rng, delta.d)
+    a, b = rng.uniform(-2.0, 2.0, 2)
+    X = _probe_points(delta, rng)
+
+    def R(h):
+        return recovery.evaluate_batch(recovery.build(h, delta, r), X)
+
+    _close(R(lambda P: a * f(P) + b * g(P)), a * R(f) + b * R(g), 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_reconstruction_telescopes_to_direct_operators(delta, r, seed):
+    # q_k is the tensor product of the differences Q_{k_i} - Q_{k_i - 1},
+    # so the sum of q_k over the set is the sum of the direct operators
+    # Q_k, each weighted by the sum of (-1)^|e| over e in {0,1}^d with
+    # k + e in the set
+    rng = np.random.default_rng(seed)
+    f = _wave(rng, delta.d)
+    X = _probe_points(delta, rng)
+    levels = set(delta.levels)
+    want = np.zeros(len(X))
+    for k in delta.levels:
+        c = sum((-1) ** sum(e)
+                for e in itertools.product((0, 1), repeat=delta.d)
+                if tuple(ki + ei for ki, ei in zip(k, e)) in levels)
+        if c:
+            want += c * qi.apply_Q(f, r, k, X)
+    _close(recovery.evaluate_batch(recovery.build(f, delta, r), X), want,
+           1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sets_holding_the_reproduction_box_reproduce_polynomials(delta, r,
+                                                                 seed):
+    # every level set holding {0..K0[r]}^d reproduces the tensor
+    # polynomials of coordinate degree r - 1
+    rng = np.random.default_rng(seed)
+    box = {tuple(int(v) for v in k)
+           for k in np.ndindex(*[K0[r] + 1] * delta.d)}
+    delta = grids.LevelSet(d=delta.d, levels=tuple(sorted(
+        set(delta.levels) | box)), xi=0.0, family="random")
+    C = rng.uniform(-1.0, 1.0, [r] * delta.d)
+
+    def p(X):
+        return sum(C[e] * np.prod(X ** np.array(e), axis=1)
+                   for e in np.ndindex(C.shape))
+
+    X = _probe_points(delta, rng)
+    _close(recovery.evaluate_batch(recovery.build(p, delta, r), X), p(X),
+           1e-10)
 
 
 def _lattice_axis(draw):
@@ -218,11 +292,13 @@ def test_lattice_matches_flattened_batch(delta, r, seed, data):
                   np.meshgrid(*axes, indexing="ij")], axis=1)
     want = np.zeros(len(X))
     for k, s_min, coeffs in recovery._level_groups(rec):
-        want += scattered_expansion(r, k, s_min, coeffs, X)
-    assert np.array_equal(recovery.evaluate_batch(rec, X), want)
+        want += centered_expansion(r, k, s_min, coeffs, X)
+    flat = recovery.evaluate_batch(rec, X)
+    # the closed-form basis values round differently from eval_centered
+    _close(flat, want, 1e-12)
     got = recovery.evaluate_lattice(rec, axes)
     assert got.shape == tuple(len(ax) for ax in axes)
-    assert np.array_equal(got.reshape(-1), want)
+    assert np.array_equal(got.reshape(-1), flat)
 
 
 def test_roundtrip_serialization(tmp_path):
