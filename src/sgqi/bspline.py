@@ -195,16 +195,19 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
         offs.append(col)
     shape = np.broadcast_shapes(*(v.shape[1:] for v in vals))
     flat = coeffs.reshape(-1)
-    out = np.zeros(shape)
-    w, idx, term = np.empty(shape), np.empty(shape, np.int64), np.empty(shape)
+    out, term = np.zeros(shape), np.empty(shape)
+    # running products of weights and sums of offsets over axes 0..i; only
+    # the axes from the combination's last nonzero index on changed
+    w = [None] + [np.empty(shape) for _ in range(1, d)]
+    idx = [None] + [np.empty(shape, np.int64) for _ in range(1, d)]
     for combo in np.ndindex(*([r] * d)):
-        np.copyto(w, vals[0][combo[0]])
-        np.copyto(idx, offs[0][combo[0]])
-        for i in range(1, d):
-            w *= vals[i][combo[i]]
-            idx += offs[i][combo[i]]
+        w[0], idx[0] = vals[0][combo[0]], offs[0][combo[0]]
+        first = max([1, *(i for i, c in enumerate(combo) if c)])
+        for i in range(first, d):
+            np.multiply(w[i - 1], vals[i][combo[i]], out=w[i])
+            np.add(idx[i - 1], offs[i][combo[i]], out=idx[i])
         # offsets are clipped already; the default mode buffers the take
-        np.take(flat, idx, out=term, mode="clip")
-        term *= w
+        np.take(flat, idx[-1], out=term, mode="clip")
+        term *= w[-1]
         out += term
     return out

@@ -59,7 +59,7 @@ def _level_weights(r: int, k: tuple) -> np.ndarray:
     w = np.ones(())
     for ki in k:
         W, _ = surplus_matrix(r, ki)
-        w = np.multiply.outer(w, W.T.dot(bspline.integral_vector(r, ki)))
+        w = np.multiply.outer(w, W.rmatvec(bspline.integral_vector(r, ki)))
     return w
 
 

@@ -1,6 +1,6 @@
 """Quasi-interpolation machinery on dyadic grids over [0,1]^d.
 
-Univariate building blocks, each a sparse matrix over the node values of
+Univariate building blocks, each a sparse Table over the node values of
 one level: the sample functionals a_{k,s} (a finite even mask Lambda
 applied to the samples, extended past [0,1] by Lagrange extrapolation),
 the surplus functionals c_{k,s} that express the level difference
@@ -28,16 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import bspline
 
 __all__ = [
-    "SurplusLevel", "q_level", "apply_Q", "sample_matrix", "surplus_matrix",
-    "refine_matrix", "vectorize_handle", "contract", "surplus_level",
+    "SurplusLevel", "Table", "q_level", "apply_Q", "sample_matrix",
+    "surplus_matrix", "refine_matrix", "vectorize_handle", "contract",
+    "surplus_level",
 ]
 
 # order -> (common denominator D, {j: D lam(j)}) of the finite even mask
@@ -76,8 +76,8 @@ def _fbar_weights(r: int, k: int, tau: int) -> list:
 
 
 def _sample_numerators(r: int, k: int):
-    """D a_{k,s} over the node values on the rows of shift_bounds(r, k),
-    entries integers.
+    """Triplets (row, node, D a_{k,s}) on the rows of shift_bounds(r, k),
+    integer weights, a node possibly repeated within a row.
 
     Integer shift s is row den s - lo, so for odd r the rows of odd
     half-integer index stay empty.  Row s holds the mask taps D lam(j) at
@@ -89,79 +89,111 @@ def _sample_numerators(r: int, k: int):
     lo, hi = bspline.shift_bounds(r, k)
     den = bspline.shift_denominator(r)
     s = np.arange(-(-lo // den), hi // den + 1)
-    rows, cols, vals = [], [], []
+    parts = []
     for j, w in lam.items():
         tau = s - j
         inside = (tau >= 0) & (tau <= n)
-        rows.append(den * s[inside] - lo)
-        cols.append(tau[inside])
-        vals.append(np.full(np.count_nonzero(inside), float(w)))
+        parts.append((den * s[inside] - lo, tau[inside],
+                      np.full(np.count_nonzero(inside), float(w))))
         for si in s[~inside].tolist():
-            for node, wn in _fbar_weights(r, k, si - j):
-                rows.append([den * si - lo])
-                cols.append([node])
-                vals.append([float(w * wn)])
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(hi - lo + 1, n + 1))
+            parts += [([den * si - lo], [node], [float(w * wn)])
+                      for node, wn in _fbar_weights(r, k, si - j)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _divide(M, r: int):
-    """M / D with true division per entry (scipy's M / D multiplies by
-    1/D, which can miss the correctly rounded quotient), zeros dropped,
-    indices sorted."""
-    M.eliminate_zeros()
-    M.sort_indices()
-    M.data = M.data / _MASKS[r][0]
-    return M
+def _refine_rows(r: int, k: int, rows, cols, vals):
+    """Triplets on the level-k shift rows carried to the level-k+1 rows by
+    the two-scale relation M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2):
+    shift s/den feeds t/den with t = 2s + den j - den r/2.  Targets outside
+    shift_bounds(r, k + 1) vanish on [0,1], the right-open order-1 box at
+    x = 1 included, and are dropped.  The weights are dyadic."""
+    lo = bspline.shift_bounds(r, k)[0]
+    t_lo, t_hi = bspline.shift_bounds(r, k + 1)
+    den = bspline.shift_denominator(r)
+    t = 2 * (rows[:, None] + lo) + den * np.arange(r + 1) - den * r // 2
+    w = np.array([math.comb(r, j) for j in range(r + 1)]) / (1 << (r - 1))
+    keep = (t >= t_lo) & (t <= t_hi)
+    return (t[keep] - t_lo, np.broadcast_to(cols[:, None], t.shape)[keep],
+            (vals[:, None] * w)[keep])
+
+
+@dataclass(eq=False)
+class Table:
+    """A univariate table in CSR form, indices sorted, no stored zeros,
+    index arrays int32; scipy.sparse wraps the same arrays on the first
+    product with a tensor."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @cached_property
+    def _csr(self):
+        from scipy import sparse  # slow to import; only products need it
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+    def __matmul__(self, X):
+        return self._csr @ X
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """y @ table, summed in the order of scipy's transposed product."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.bincount(self.indices, self.data * y[rows], self.shape[1])
+
+
+def _table(parts, shape, den: int = 1) -> Table:
+    """Table of the summed (row, col, weight) triplets of parts, each sum
+    divided by den.  The weights are integers or dyadic, so the sums are
+    exact in any order and each entry is the correctly rounded quotient."""
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    keys, which = np.unique(rows * shape[1] + cols, return_inverse=True)
+    sums = np.bincount(which, vals)
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return Table(indptr.astype(np.int32), (keys % shape[1]).astype(np.int32),
+                 sums / den, shape)
+
+
+def _level_table(r: int, k: int, parts):
+    lo, hi = bspline.shift_bounds(r, k)
+    return _table(parts, (hi - lo + 1, (1 << k) + 1), _MASKS[r][0]), lo
 
 
 @lru_cache(maxsize=None)
 def sample_matrix(r: int, k: int):
-    """CSR matrix of the sample functionals a_{k,s} over the node values,
-    on the rows of shift_bounds(r, k), and the first row's shift index."""
-    return _divide(_sample_numerators(r, k), r), bspline.shift_bounds(r, k)[0]
+    """Table of the sample functionals a_{k,s} over the node values, on the
+    rows of shift_bounds(r, k), and the first row's shift index."""
+    return _level_table(r, k, [_sample_numerators(r, k)])
 
 
 @lru_cache(maxsize=None)
 def surplus_matrix(r: int, k: int):
-    """CSR matrix of all surplus functionals at level k over the node
-    values, and the first row's shift index.
+    """Table of all surplus functionals at level k over the node values,
+    and the first row's shift index.
 
-    Level k's sample table minus level k-1's carried up by refine_matrix,
-    its node j being node 2j of level k.
+    Level k's sample table minus level k-1's carried up by the two-scale
+    relation, its node j being node 2j of level k.
     """
-    S = _sample_numerators(r, k)
+    parts = [_sample_numerators(r, k)]
     if k > 0:
-        C = (refine_matrix(r, k - 1) @ _sample_numerators(r, k - 1)).tocoo()
-        S = S - sparse.csr_matrix((C.data, (C.row, 2 * C.col)),
-                                  shape=S.shape)
-    return _divide(S, r), bspline.shift_bounds(r, k)[0]
+        rows, cols, vals = _refine_rows(r, k - 1,
+                                        *_sample_numerators(r, k - 1))
+        parts.append((rows, 2 * cols, -vals))
+    return _level_table(r, k, parts)
 
 
 @lru_cache(maxsize=None)
-def refine_matrix(r: int, k: int):
-    """CSR matrix taking the coefficients of a level-k expansion (shifts
-    of shift_bounds(r, k)) to those of the same function on [0,1] at level
-    k + 1, by the two-scale relation
-    M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2).
-
-    Shift s/den feeds t/den with t = 2s + den j - den r/2.  Targets outside
-    shift_bounds(r, k + 1) vanish on [0,1], the right-open order-1 box at
-    x = 1 included, and are dropped.
-    """
+def refine_matrix(r: int, k: int) -> Table:
+    """Table taking the coefficients of a level-k expansion (shifts of
+    shift_bounds(r, k)) to those of the same function on [0,1] at level
+    k + 1: _refine_rows applied to the identity."""
     lo, hi = bspline.shift_bounds(r, k)
     t_lo, t_hi = bspline.shift_bounds(r, k + 1)
-    den = bspline.shift_denominator(r)
-    s = np.arange(lo, hi + 1)[:, None]
-    j = np.arange(r + 1)[None, :]
-    t = 2 * s + den * j - den * r // 2
-    w = np.array([math.comb(r, i) for i in range(r + 1)]) / (1 << (r - 1))
-    keep = (t >= t_lo) & (t <= t_hi)
-    cols = np.broadcast_to(s - lo, t.shape)[keep]
-    data = np.broadcast_to(w[None, :], t.shape)[keep]
-    return sparse.csr_matrix((data, (t[keep] - t_lo, cols)),
-                             shape=(t_hi - t_lo + 1, hi - lo + 1))
+    s = np.arange(hi - lo + 1)
+    return _table([_refine_rows(r, k, s, s, np.ones(len(s)))],
+                  (t_hi - t_lo + 1, len(s)))
 
 
 def _one_per_row(y, n: int) -> np.ndarray:

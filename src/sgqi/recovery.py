@@ -217,8 +217,15 @@ def from_json_dict(obj: dict) -> Reconstruction:
 
 
 def save(rec: Reconstruction, path) -> None:
+    # json.dumps runs the C encoder (json.dump the pure-Python one); level
+    # by level, the text of one level is held in memory at a time
+    obj = to_json_dict(rec)
+    levels, obj["levels"] = obj["levels"], []
     with open(path, "w") as fh:
-        json.dump(to_json_dict(rec), fh)
+        fh.write(json.dumps(obj)[:-2])  # "levels" is the last key
+        for i, entry in enumerate(levels):
+            fh.write(", " * (i > 0) + json.dumps(entry))
+        fh.write("]}")
 
 
 def load(path) -> Reconstruction:

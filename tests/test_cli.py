@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -346,9 +347,29 @@ def test_hash_tracks_experiment_not_output(mixed_cfg, tmp_path):
     assert h(base) != h(changed)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time and only Halton estimation uses it
-    code = "import sys, sgqi.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
+    # scipy is slow to import: sgqi.cli and the commands that build no
+    # reconstruction run on numpy alone (scipy.sparse is loaded by the
+    # first table product with a tensor, scipy.stats by Halton estimation)
+    commands = [
+        ["integrate", "-c", mixed_cfg],
+        ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
+        ["gridinfo", "-c", mixed_cfg],
+        ["compare", "-c", mixed_cfg, "--set", "problem.family=hybrid",
+         "--set", "problem.alpha=1.5", "--set", "problem.beta=-0.5",
+         "--set", "sweep.xi=2,4"],
+        ["dump-grid", "-c", mixed_cfg, "--set", "sweep.xi=3"],
+    ]
+    out = str(tmp_path / "out")
+    code = textwrap.dedent(f"""\
+        import sys, sgqi.cli
+        scipy = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print(scipy())
+        for argv in {commands!r}:
+            assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
+            print(scipy())
+        """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["[]"] * (len(commands) + 1) + [""]

@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sgqi import bspline, quasi_interp as qi
 from oracles import (MASKS, BoundaryExtendedSampler as extend, a_coeff,
                      a_weights, faber_table, pairs_even,
                      pairs_odd, surplus_bounds, surplus_weights, table_csr)
+
+
+def scipy_csr(T):
+    """scipy's CSR matrix over the arrays of a package table."""
+    return sparse.csr_matrix((T.data, T.indices, T.indptr), shape=T.shape)
 
 
 def row_table(W, i):
@@ -80,7 +86,7 @@ def test_refinement_pairs():
         pairs = pairs_even if r % 2 == 0 else pairs_odd
         den = bspline.shift_denominator(r)
         for k in (1, 2, 3):
-            R = qi.refine_matrix(r, k - 1).toarray()
+            R = scipy_csr(qi.refine_matrix(r, k - 1)).toarray()
             s_lo = bspline.shift_bounds(r, k - 1)[0]
             t_lo, t_hi = bspline.shift_bounds(r, k)
             for t in range(t_lo, t_hi + 1):
@@ -91,27 +97,54 @@ def test_refinement_pairs():
                 assert got == want, (r, k, t)
 
 
+def sample_row(r, k, s):
+    # the sample functional of integer shift s is row den s of the table,
+    # odd rows of odd orders stay empty
+    den = bspline.shift_denominator(r)
+    return a_weights(r, k, s // den) if s % den == 0 else ()
+
+
+def oracle_tables(r, k):
+    """(oracle name, package table, its first shift, the oracle's scipy CSR
+    matrix) of the surplus and the sample table of order r at level k."""
+    lo, hi = surplus_bounds(r, k)
+    for (M, first), table in ((qi.surplus_matrix(r, k), surplus_weights),
+                              (qi.sample_matrix(r, k), sample_row)):
+        yield table.__name__, M, first, table_csr(
+            [table(r, k, s) for s in range(lo, hi + 1)], k)
+
+
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_tables_match_exact_rational_oracle(r):
-    # every entry is float() of the exact rational weight, bit for bit
-    # both tables sit on the shift rows; the sample functional of integer
-    # shift s is row den s, odd rows of odd orders stay empty
-    den = bspline.shift_denominator(r)
-
-    def sample_row(r, k, s):
-        return a_weights(r, k, s // den) if s % den == 0 else ()
-
+    # every entry is float() of the exact rational weight, bit for bit;
+    # both tables sit on the shift rows
     for k in range(13):
         lo, hi = surplus_bounds(r, k)
-        for (M, first), table in (
-                (qi.surplus_matrix(r, k), surplus_weights),
-                (qi.sample_matrix(r, k), sample_row)):
-            want = table_csr([table(r, k, s) for s in range(lo, hi + 1)], k)
+        for name, M, first, want in oracle_tables(r, k):
             assert first == lo
             assert M.shape == want.shape
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(M, part), getattr(want, part)), \
-                    (r, k, table.__name__, part)
+                    (r, k, name, part)
+
+
+@pytest.mark.parametrize("r", bspline.ORDERS)
+def test_table_products_match_scipy(r):
+    # a table times a vector or a matrix runs scipy's kernel, the
+    # transposed product (cubature weights) is numpy's bincount; both are
+    # bitwise equal to scipy's products with the oracle's CSR matrix
+    rng = np.random.default_rng(r)
+    for k in range(13):
+        for name, M, _, want in oracle_tables(r, k):
+            n_rows, n_cols = M.shape
+            for X in (rng.standard_normal(n_cols),
+                      rng.standard_normal((n_cols, 3))):
+                assert np.array_equal(M @ X, want @ X), (r, k, name)
+            for y in (rng.standard_normal(n_rows),
+                      bspline.integral_vector(r, k)):
+                got = M.rmatvec(y)
+                assert got.shape == (n_cols,)
+                assert np.array_equal(got, want.T.dot(y)), (r, k, name)
 
 
 def test_surplus_tables_match_faber_order2():
@@ -249,6 +282,7 @@ def test_matrix_shapes():
     c_lo, c_hi = bspline.shift_bounds(3, 1)
     assert a_lo == c_lo
     assert A.shape == (c_hi - c_lo + 1, 3)
+    A = scipy_csr(A)
     # integer shifts of the odd order land on the even rows
     assert A[1::2].nnz == 0 and A[0::2].getnnz(axis=1).all()
 

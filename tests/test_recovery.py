@@ -305,6 +305,8 @@ def test_roundtrip_serialization(tmp_path):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     path = tmp_path / "rec.json"
     recovery.save(rec, path)
+    # written level by level, the same text as one json.dumps of the dump
+    assert path.read_text() == json.dumps(recovery.to_json_dict(rec))
     back = recovery.load(path)
     assert back.r == rec.r and back.d == rec.d
     assert back.sample_budget == rec.sample_budget
