@@ -177,7 +177,11 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
     per axis are nonzero at x, with left knots floor(2^K x) - r + 1 + j.
     """
     _check_order(r)
-    K, b_min, coeffs = _integer_knots(r, _as_level(k), s_min, coeffs)
+    return eval_knots(r, *_integer_knots(r, _as_level(k), s_min, coeffs), X)
+
+
+def eval_knots(r: int, K: tuple, b_min, coeffs: np.ndarray, X):
+    """eval_expansion of sum_b c_b N_r(2^K x - b) from _integer_knots."""
     d = len(K)
     # per dimension, entry j of vals and offs holds the j-th candidate of
     # every coordinate: its spline value and its offset into the flat coeffs

@@ -113,8 +113,8 @@ def _float_list(raw, what):
 
 def _finite_xi(raw):
     xi = _as_float(raw, "sweep.xi")
-    if not math.isfinite(xi):
-        raise ConfigError(f"sweep.xi must be finite: {raw!r}")
+    if not (math.isfinite(xi) and xi >= 0):
+        raise ConfigError(f"sweep.xi must be finite and nonnegative: {raw!r}")
     return xi
 
 

@@ -449,23 +449,33 @@ class SampleGrid:
                         -np.array(self.K, dtype=np.int64))
 
 
+def chains(levels, axis: int = 0) -> dict:
+    """{level without its axis entry: m} of the chains of levels agreeing
+    off the axis; downward closed, a chain runs 0..m along the axis."""
+    return {k[:axis] + k[axis + 1:]: k[axis] for k in sorted(levels)}
+
+
 def sample_grid(delta: LevelSet) -> SampleGrid:
-    """Distinct points of the grid of a downward-closed level set.
+    """Distinct points of the grid of a nonempty downward-closed level set.
 
     The new points of level k (odd numerators where k_i >= 1, the two
     endpoints where k_i = 0) partition the grid, so collecting them needs
-    no deduplication.
+    no deduplication.  Along axis 0 the new points of a chain's levels
+    make up its top level's full lattice, so each chain is one block.
     """
+    if not delta.levels:
+        raise ValueError("level set has no levels")
     if not delta.is_downward_closed():
         raise ValueError("level set must be downward closed")
     K = delta.max_level()
     if math.prod((1 << Ki) + 1 for Ki in K) > np.iinfo(np.int64).max:
         raise ValueError("grid too fine for int64 point ids: finest "
                          f"per-axis levels {K}")
-    parts = [np.zeros(0, dtype=np.int64)]
-    for k in delta.levels:
-        axes = [np.array([0, 1 << Ki], dtype=np.int64) if ki == 0 else
-                np.arange(1, 1 << ki, 2, dtype=np.int64) << (Ki - ki)
-                for ki, Ki in zip(k, K)]
+    parts = []
+    for rest, m in chains(delta.levels).items():
+        axes = [np.arange((1 << m) + 1, dtype=np.int64) << (K[0] - m)]
+        axes += [np.array([0, 1 << Ki], dtype=np.int64) if ki == 0 else
+                 np.arange(1, 1 << ki, 2, dtype=np.int64) << (Ki - ki)
+                 for ki, Ki in zip(rest, K[1:])]
         parts.append(_pack(axes, K))
     return SampleGrid(delta=delta, K=K, ids=np.sort(np.concatenate(parts)))

@@ -147,9 +147,11 @@ def _table(parts, shape, den: int = 1) -> Table:
     """Table of the summed (row, col, weight) triplets of parts, each sum
     divided by den.  The weights are integers or dyadic, so the sums are
     exact in any order and each entry is the correctly rounded quotient."""
-    rows, cols, vals = map(np.concatenate, zip(*parts))
-    keys, which = np.unique(rows * shape[1] + cols, return_inverse=True)
-    sums = np.bincount(which, vals)
+    keys = np.concatenate([rows * shape[1] + cols for rows, cols, _ in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], np.concatenate([v for *_, v in parts])[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, sums = keys[first], np.add.reduceat(vals, first)
     keys, sums = keys[sums != 0], sums[sums != 0]
     indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
     return Table(indptr.astype(np.int32), (keys % shape[1]).astype(np.int32),

@@ -4,8 +4,8 @@ and evaluate the reconstruction anywhere in the cube.
 The reconstruction is sum over levels k in Delta of the level detail
 q_k(f), each stored as a dense per-level coefficient array.  Building
 samples f once at every distinct point of the (downward closed) set's grid,
-so the number of function evaluations is auditable, then walks the levels
-gathering each level's node values from those samples.  Evaluation sums
+so the number of function evaluations is auditable, then gathers the node
+values of each chain of levels agreeing off axis 0 once.  Evaluation sums
 over level groups: levels that differ along one axis are merged exactly
 into one expansion on the finest of them by B-spline refinement.
 """
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bspline
-from .grids import LevelSet, sample_grid
+from .grids import LevelSet, chains, sample_grid
 from .quasi_interp import (SurplusLevel, _apply_along_axis, refine_matrix,
-                           surplus_level, surplus_matrix, vectorize_handle)
+                           surplus_matrix, vectorize_handle)
 
 SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
 
@@ -46,15 +46,27 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
 
     f is evaluated only at dyadic grid points of G(Delta); each distinct
     point once (sample_budget reports how many).  Non-finite samples are
-    rejected with ValueError.
+    rejected with ValueError.  Per axis-0 chain, the level-(m, rest) nodes
+    are contracted off axis 0 once; level (j, rest) applies its axis-0
+    table to every 2^(m-j)-th row.  As contract applies axis 0 last and a
+    table treats each column alone, every level is bitwise q_level's.
     """
     grid = sample_grid(delta)
     vals = vectorize_handle(f, delta.d)(grid.coords())
-    surplus = {}
-    for k in delta.levels:
-        T = vals[grid.positions(k)].reshape([(1 << ki) + 1 for ki in k])
-        surplus[k] = surplus_level(T, r, k, surplus_matrix)
-    return Reconstruction(r=r, d=delta.d, delta=delta, surplus=surplus,
+    built = {}
+    for rest, m in chains(delta.levels).items():
+        top = (m,) + rest
+        T = vals[grid.positions(top)].reshape([(1 << ki) + 1 for ki in top])
+        for axis in range(delta.d - 1, 0, -1):
+            T = _apply_along_axis(surplus_matrix(r, top[axis])[0], T, axis)
+        s_rest = tuple(surplus_matrix(r, ki)[1] for ki in rest)
+        for j in range(m + 1):
+            W, lo = surplus_matrix(r, j)
+            built[(j,) + rest] = SurplusLevel(
+                k=(j,) + rest, s_min=(lo,) + s_rest,
+                coeffs=_apply_along_axis(W, T[::1 << (m - j)], 0))
+    return Reconstruction(r=r, d=delta.d, delta=delta,
+                          surplus={k: built[k] for k in delta.levels},
                           sample_budget=grid.distinct_points,
                           declared_budget=delta.budget())
 
@@ -63,36 +75,22 @@ def _level_groups(rec: Reconstruction):
     """Yield the reconstruction as a few expansions (k, s_min, coeffs),
     one per level group, whose sum equals sum_k q_k on [0,1]^d exactly.
 
-    A group is the levels that agree off one axis, the axis leaving the
-    fewest groups.  Along it the group is accumulated Horner-style from
-    its lowest level up to its finest one K, acc = R_k acc + c_{k+1}, with
-    R_k the two-scale refinement quasi_interp.refine_matrix, so each
-    group is refined once and yields the level-K expansion.  Groups are
-    built one at a time as the caller iterates.
+    A group is a chain of levels 0..K along one axis (grids.chains), the
+    axis leaving the fewest.  It is accumulated Horner-style from level 0
+    up to K, acc = R_k acc + c_{k+1}, with R_k the two-scale refinement
+    quasi_interp.refine_matrix, so each group is refined once and yields
+    the level-K expansion.  Groups are built one at a time as the caller
+    iterates.
     """
     surplus = rec.surplus
-    if not surplus:
-        return
-
-    def rest(k, axis):
-        return k[:axis] + k[axis + 1:]
-
-    axis = min(range(rec.d),
-               key=lambda a: len({rest(k, a) for k in surplus}))
-    groups = {}
-    # lexicographic order sorts each group by its level along the axis
-    for k in sorted(surplus):
-        groups.setdefault(rest(k, axis), []).append(k)
-    for ks in groups.values():
-        acc = surplus[ks[0]].coeffs
-        cur = ks[0][axis]
-        for k in ks[1:]:
-            for ka in range(cur, k[axis]):
-                acc = _apply_along_axis(refine_matrix(rec.r, ka), acc, axis)
-            cur = k[axis]
-            acc = acc + surplus[k].coeffs
-        top = surplus[ks[-1]]
-        yield top.k, top.s_min, acc
+    axis = min(range(rec.d), key=lambda a: len(chains(surplus, a)))
+    for rest, m in chains(surplus, axis).items():
+        lvl = [surplus[rest[:axis] + (j,) + rest[axis:]] for j in range(m + 1)]
+        acc = lvl[0].coeffs
+        for j in range(m):
+            acc = (_apply_along_axis(refine_matrix(rec.r, j), acc, axis)
+                   + lvl[j + 1].coeffs)
+        yield lvl[m].k, lvl[m].s_min, acc
 
 
 def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
@@ -120,17 +118,25 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
     return out
 
 
-def evaluate_lattice(rec: Reconstruction, axes) -> np.ndarray:
+def lattice_groups(rec: Reconstruction) -> list:
+    """The level groups of rec on integer knots (bspline._integer_knots),
+    built once for all the lattices of one error estimate."""
+    return [bspline._integer_knots(rec.r, k, s_min, coeffs)
+            for k, s_min, coeffs in _level_groups(rec)]
+
+
+def evaluate_lattice(rec: Reconstruction, axes, groups=None) -> np.ndarray:
     """Reconstruction values on the tensor lattice of d coordinate vectors,
-    bitwise equal to evaluate_batch at its points in C order."""
+    bitwise equal to evaluate_batch at its points in C order.  groups is
+    lattice_groups(rec), built here when not given."""
     coords = np.ix_(*(np.asarray(ax, dtype=float) for ax in axes))
     if len(coords) != rec.d:
         raise ValueError("point dimension mismatch")
     if not all(((x >= 0.0) & (x <= 1.0)).all() for x in coords):
         raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros([x.size for x in coords])
-    for k, s_min, coeffs in _level_groups(rec):
-        out += bspline.eval_expansion(rec.r, k, s_min, coeffs, coords)
+    for K, b_min, coeffs in lattice_groups(rec) if groups is None else groups:
+        out += bspline.eval_knots(rec.r, K, b_min, coeffs, coords)
     return out
 
 
@@ -193,14 +199,16 @@ def _dump_level(entry, r: int, d: int) -> SurplusLevel:
 
 
 def from_json_dict(obj: dict) -> Reconstruction:
-    """Reconstruction from a dump; ValueError unless every level matches
-    its shift bounds, every coefficient is finite and the level set is
-    downward closed."""
+    """Reconstruction from a dump; ValueError unless d >= 1, there is a
+    level, every level matches its shift bounds, every coefficient is
+    finite and the level set is downward closed."""
     if obj.get("format") != _FORMAT:
         raise ValueError("not a reconstruction dump")
     if obj.get("version") != _VERSION:
         raise ValueError("unsupported dump version")
     r, d = obj["r"], obj["d"]
+    if not (isinstance(d, int) and d >= 1 and obj["levels"]):
+        raise ValueError("a dump needs d >= 1 and at least one level")
     surplus = {}
     for entry in obj["levels"]:
         lvl = _dump_level(entry, r, d)

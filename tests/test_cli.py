@@ -225,7 +225,7 @@ def test_export_rule_golden_bytes(argv, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("xi", ["nan", "inf"])
+@pytest.mark.parametrize("xi", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("argv", [
     ["export-rule", "--set=sweep.xi={}"],
     ["dump-grid", "--set=sweep.xi={}"],
@@ -234,7 +234,8 @@ def test_export_rule_golden_bytes(argv, digest):
      "--set=problem.beta=-0.5", "--set=sweep.xi=2,{}"],
 ], ids=["export-rule", "dump-grid", "dump-grid-fullgrid", "compare"])
 def test_exit_2_non_finite_xi(mixed_cfg, capsys, argv, xi):
-    # an infinite xi used to hang dump-grid, a NaN one gave empty output
+    # an infinite xi used to hang dump-grid, a NaN one gave empty output,
+    # a negative one an empty level set: a header-only rule, a blank grid
     from sgqi import cli
 
     code = cli.main([argv[0], "-c", mixed_cfg,

@@ -86,6 +86,9 @@ def test_rejects_open_set():
     hole = grids.LevelSet(d=1, levels=((0,), (2,)), xi=0.0, family="t")
     with pytest.raises(ValueError, match="downward closed"):
         cubature.assemble_weights(hole, 2)
+    empty = grids.LevelSet(d=1, levels=(), xi=-1.0, family="t")
+    with pytest.raises(ValueError, match="no levels"):
+        cubature.assemble_weights(empty, 2)
 
 
 def test_integrate_reconstruction_value():

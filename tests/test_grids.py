@@ -348,3 +348,11 @@ def test_sample_grid_rejects_int64_overflow():
                            family="axes")
     with pytest.raises(ValueError, match="int64"):
         grids.sample_grid(delta)
+
+
+def test_sample_grid_rejects_empty_level_set():
+    # xi < 0 leaves no level; its grid would be empty, not an error
+    delta = grids.delta_mixed(-1.0, MIXED_B)
+    assert len(delta) == 0
+    with pytest.raises(ValueError, match="no levels"):
+        grids.sample_grid(delta)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline, grids, quasi_interp as qi, recovery
-from oracles import centered_expansion, per_level_evaluate
+from oracles import centered_expansion, dyadic_point_set, per_level_evaluate
 from test_acceptance import K0
 from test_grids import downward_closed_sets
 
@@ -108,6 +108,9 @@ def test_input_validation():
     hole = grids.LevelSet(d=2, levels=((0, 0), (2, 0)), xi=0.0, family="t")
     with pytest.raises(ValueError, match="downward closed"):
         recovery.build(smooth2, hole, 2)
+    empty = grids.LevelSet(d=2, levels=(), xi=-1.0, family="t")
+    with pytest.raises(ValueError, match="no levels"):
+        recovery.build(smooth2, empty, 2)
     rec = recovery.build(smooth2, box_set((1, 1)), 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         recovery.evaluate_batch(rec, np.zeros((4, 3)))
@@ -211,6 +214,35 @@ def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
     X = _probe_points(delta, rng)
     want = per_level_evaluate(rec, X, skip_tol=0.0)
     _close(recovery.evaluate_batch(rec, X), want, 1e-12)
+
+
+def _rational(c):
+    # + and / round the same in every lane, so a point's sample does not
+    # depend on where it sits in f's input
+    def f(X):
+        s = 1.0
+        for i, ci in enumerate(c):
+            s = s + ci * X[:, i]
+        return 1.0 / s
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_chain_build_is_bitwise_per_level(delta, r, seed):
+    f = _rational(np.random.default_rng(seed).uniform(0.5, 3.0, delta.d))
+    rec = recovery.build(f, delta, r)
+    assert list(rec.surplus) == list(delta.levels)
+    for k in delta.levels:
+        want = qi.q_level(f, r, k)
+        assert rec.surplus[k].s_min == want.s_min
+        assert rec.surplus[k].coeffs.tobytes() == want.coeffs.tobytes()
+    sg = grids.sample_grid(delta)
+    dims = [(1 << Ki) + 1 for Ki in sg.K]
+    want = [np.ravel_multi_index([int(v * (1 << Ki)) for v, Ki in
+                                  zip(p, sg.K)], dims)
+            for p in dyadic_point_set(delta.levels)]
+    assert sg.ids.tolist() == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,11 +383,17 @@ def _corrupt(dump, how):
         entry["k"] = [-1, 0]
     elif how == "hole":
         del levels[at]
+    elif how == "empty":
+        levels.clear()
+    elif how == "d0":
+        # one level of no axes would load as a constant
+        dump["d"] = 0
+        levels[:] = [{"k": [], "s_min": [], "shape": [], "coeffs": [1.0]}]
     return dump
 
 
 @pytest.mark.parametrize("how", ["shape", "count", "s_min", "length",
-                                 "negative", "hole"])
+                                 "negative", "hole", "empty", "d0"])
 def test_load_rejects_malformed_levels(how):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 4)
     good = recovery.to_json_dict(rec)
