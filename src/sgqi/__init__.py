@@ -7,8 +7,8 @@ from .grids import (LevelSet, SampleGrid, SmoothnessSpec, comparison_sets,
                     sample_grid, theta_le_taustar, trade_exponent,
                     xi_for_budget)
 from .quasi_interp import apply_Q, q_level
-from .recovery import (Reconstruction, build, evaluate, evaluate_batch,
-                       evaluate_lattice, load, save)
+from .recovery import (Reconstruction, build, build_from_samples, evaluate,
+                       evaluate_batch, evaluate_lattice, load, save)
 from .cubature import (CubatureRule, apply_rule, assemble_weights,
                        integrate_reconstruction)
 from .analysis import (RateFit, TestFunction, corpus, discrete_lq_error,

@@ -300,14 +300,14 @@ def _single_xi(cfg, make_delta):
     raise ConfigError("need sweep.xi or sweep.budgets")
 
 
-def cmd_export_rule(cfg, out_fh):
+def cmd_export_rule(cfg):
     spec, family, make_delta = _experiment(cfg)
     xi = _single_xi(cfg, make_delta)
     rule = cubature.assemble_weights(make_delta(xi), spec.r)
-    cubature.export_csv(rule, out_fh)
+    return lambda fh: cubature.export_csv(rule, fh)
 
 
-def cmd_dump_grid(cfg, out_fh):
+def cmd_dump_grid(cfg):
     prob = cfg["problem"]
     family = _need(cfg, "problem", "family")
     if family in ("fullgrid", "smolyak"):
@@ -318,7 +318,8 @@ def cmd_dump_grid(cfg, out_fh):
     else:
         spec, family, make_delta = _experiment(cfg)
         delta = make_delta(_single_xi(cfg, make_delta))
-    out_fh.write(delta.to_text())
+    text = delta.to_text()
+    return lambda fh: fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +338,11 @@ def _emit(cfg, header, rows, dats):
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_format_cell(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
     else:
-        out = []
-        for row in rows:
-            obj = dict(zip(header, row))
-            out.append(json.dumps(obj, sort_keys=True))
-        text = "\n".join(out) + "\n"
-    path = cfg["output"]["path"]
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
+                 for row in rows]
+    text = "\n".join(lines) + "\n"
+    _write(cfg["output"]["path"], lambda fh: fh.write(text))
     dat_dir = cfg["output"].get("dat_dir")
     if dat_dir:
         os.makedirs(dat_dir, exist_ok=True)
@@ -358,6 +351,16 @@ def _emit(cfg, header, rows, dats):
             with open(fname, "w", newline="") as fh:
                 for n, e in pts:
                     fh.write(f"{n} {repr(float(e))}\n")
+
+
+def _write(path, write) -> None:
+    """write(fh) to stdout for path "-", else to the file at path; called
+    after all that can fail, so a failing run leaves the file as it was."""
+    if path == "-":
+        write(sys.stdout)
+    else:
+        with open(path, "w", newline="") as fh:
+            write(fh)
 
 
 _TABLE_COMMANDS = {
@@ -377,17 +380,11 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command in _TABLE_COMMANDS:
-            header, rows, dats = _TABLE_COMMANDS[args.command](cfg)
-            _emit(cfg, header, rows, dats)
+            _emit(cfg, *_TABLE_COMMANDS[args.command](cfg))
         else:
-            path = cfg["output"]["path"]
             run = cmd_export_rule if args.command == "export-rule" \
                 else cmd_dump_grid
-            if path == "-":
-                run(cfg, sys.stdout)
-            else:
-                with open(path, "w", newline="") as fh:
-                    run(cfg, fh)
+            _write(cfg["output"]["path"], run(cfg))
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ or assemble the weight for every grid point once and reuse it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,16 +51,21 @@ class CubatureRule:
         return self.weights.copy()
 
 
-def _level_weights(r: int, k: tuple) -> np.ndarray:
-    """Cubature weights of the level-k detail on its node tensor.
+@lru_cache(maxsize=None)
+def _axis_weights(r: int, k: int) -> np.ndarray:
+    """Cubature weights of the univariate level-k surplus on its nodes:
+    (integral vector) @ (surplus matrix)."""
+    w = surplus_matrix(r, k)[0].rmatvec(bspline.integral_vector(r, k))
+    w.flags.writeable = False  # the cache hands it to every caller
+    return w
 
-    The weight of node tau factors across dimensions as
-    (integral vector) @ (surplus matrix).
-    """
+
+def _level_weights(r: int, k: tuple) -> np.ndarray:
+    """Cubature weights of the level-k detail on its node tensor, the
+    outer product of the per-axis weights."""
     w = np.ones(())
     for ki in k:
-        W, _ = surplus_matrix(r, ki)
-        w = np.multiply.outer(w, W.rmatvec(bspline.integral_vector(r, ki)))
+        w = np.multiply.outer(w, _axis_weights(r, ki))
     return w
 
 
@@ -102,7 +108,9 @@ def export_csv(rule: CubatureRule, fh) -> None:
     """Write `x_1,...,x_d,weight` rows; coordinates as exact decimals."""
     header = ",".join(f"x_{i + 1}" for i in range(rule.d)) + ",weight"
     fh.write(header + "\n")
-    K = rule.grid.K
-    for row, w in zip(rule.grid.lattice().tolist(), rule.weights.tolist()):
-        coords = [_exact_decimal(c, Ki) for c, Ki in zip(row, K)]
+    cols = []  # per axis, each distinct coordinate's string made once
+    for col, Ki in zip(rule.grid.lattice().T.tolist(), rule.grid.K):
+        text = {c: _exact_decimal(c, Ki) for c in set(col)}
+        cols.append([text[c] for c in col])
+    for *coords, w in zip(*cols, rule.weights.tolist()):
         fh.write(",".join(coords) + "," + repr(w) + "\n")

@@ -137,10 +137,14 @@ class Table:
     def __matmul__(self, X):
         return self._csr @ X
 
+    @cached_property
+    def _rows(self):
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """y @ table, summed in the order of scipy's transposed product."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return np.bincount(self.indices, self.data * y[rows], self.shape[1])
+        return np.bincount(self.indices, self.data * y[self._rows],
+                           self.shape[1])
 
 
 def _table(parts, shape, den: int = 1) -> Table:

@@ -5,21 +5,22 @@ The reconstruction is sum over levels k in Delta of the level detail
 q_k(f), each stored as a dense per-level coefficient array.  Building
 samples f once at every distinct point of the (downward closed) set's grid,
 so the number of function evaluations is auditable, then gathers the node
-values of each chain of levels agreeing off axis 0 once.  Evaluation sums
-over level groups: levels that differ along one axis are merged exactly
-into one expansion on the finest of them by B-spline refinement.
+values of each chain of levels agreeing off axis 0 once.  The level set
+and those samples determine every coefficient, so a dump (save/load) holds
+just them and load rebuilds the rest.  Evaluation sums over level groups:
+levels that differ along one axis are merged exactly into one expansion on
+the finest of them by B-spline refinement.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bspline
-from .grids import LevelSet, chains, sample_grid
+from .grids import LevelSet, SampleGrid, chains, sample_grid
 from .quasi_interp import (SurplusLevel, _apply_along_axis, refine_matrix,
                            surplus_matrix, vectorize_handle)
 
@@ -28,7 +29,9 @@ SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
 
 @dataclass
 class Reconstruction:
-    """Surplus coefficients of R_Delta(f) plus sampling bookkeeping."""
+    """Surplus coefficients of R_Delta(f) plus sampling bookkeeping;
+    samples (read-only) is f at the rows of sample_grid(delta), or None
+    for a reconstruction made from coefficients, which cannot be saved."""
 
     r: int
     d: int
@@ -36,6 +39,7 @@ class Reconstruction:
     surplus: dict  # level vector -> SurplusLevel
     sample_budget: int
     declared_budget: int
+    samples: np.ndarray | None = None
 
     def max_level(self):
         return self.delta.max_level()
@@ -46,13 +50,33 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
 
     f is evaluated only at dyadic grid points of G(Delta); each distinct
     point once (sample_budget reports how many).  Non-finite samples are
-    rejected with ValueError.  Per axis-0 chain, the level-(m, rest) nodes
-    are contracted off axis 0 once; level (j, rest) applies its axis-0
-    table to every 2^(m-j)-th row.  As contract applies axis 0 last and a
-    table treats each column alone, every level is bitwise q_level's.
+    rejected with ValueError.
     """
     grid = sample_grid(delta)
-    vals = vectorize_handle(f, delta.d)(grid.coords())
+    return _build(vectorize_handle(f, delta.d)(grid.coords()), grid, r)
+
+
+def build_from_samples(values, delta: LevelSet, r: int) -> Reconstruction:
+    """The reconstruction of the samples values, aligned with the rows of
+    sample_grid(delta); ValueError unless there is one finite value per
+    row.  build(f, delta, r) is this applied to f at those rows."""
+    return _build(values, sample_grid(delta), r)
+
+
+def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
+    """Per axis-0 chain, the level-(m, rest) nodes are contracted off axis 0
+    once; level (j, rest) applies its axis-0 table to every 2^(m-j)-th row.
+    As contract applies axis 0 last and a table treats each column alone,
+    every level is bitwise q_level's."""
+    delta = grid.delta
+    vals = np.array(values, dtype=float)  # owned, so it can be frozen
+    if vals.shape != (grid.distinct_points,):
+        raise ValueError(f"{vals.size} samples for {grid.distinct_points} "
+                         "grid points")
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise ValueError(f"{bad} of {vals.size} samples are non-finite")
+    vals.flags.writeable = False
     built = {}
     for rest, m in chains(delta.levels).items():
         top = (m,) + rest
@@ -68,7 +92,7 @@ def build(f, delta: LevelSet, r: int) -> Reconstruction:
     return Reconstruction(r=r, d=delta.d, delta=delta,
                           surplus={k: built[k] for k in delta.levels},
                           sample_budget=grid.distinct_points,
-                          declared_budget=delta.budget())
+                          declared_budget=delta.budget(), samples=vals)
 
 
 def _level_groups(rec: Reconstruction):
@@ -150,90 +174,56 @@ def evaluate(rec: Reconstruction, x) -> float:
 # serialization (experiment resumption)
 
 _FORMAT = "sgqi-reconstruction"
-_VERSION = 1
+_VERSION = 2
 
 
 def to_json_dict(rec: Reconstruction) -> dict:
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "r": rec.r,
-        "d": rec.d,
-        "xi": rec.delta.xi,
-        "family": rec.delta.family,
-        "sample_budget": rec.sample_budget,
-        "declared_budget": rec.declared_budget,
-        "levels": [
-            {
-                "k": list(lvl.k),
-                "s_min": list(lvl.s_min),
-                "shape": list(lvl.coeffs.shape),
-                "coeffs": lvl.coeffs.reshape(-1).tolist(),
-            }
-            for _, lvl in sorted(rec.surplus.items())
-        ],
-    }
-
-
-def _dump_level(entry, r: int, d: int) -> SurplusLevel:
-    k = tuple(entry["k"])
-    if len(k) != d or any(not isinstance(v, (int, np.integer)) or v < 0
-                          for v in k):
-        raise ValueError(f"level {list(k)} is not {d} nonnegative integers")
-    k = tuple(int(v) for v in k)
-    bounds = [bspline.shift_bounds(r, ki) for ki in k]
-    s_min = tuple(lo for lo, _ in bounds)
-    if tuple(entry["s_min"]) != s_min:
-        raise ValueError(f"s_min of level {list(k)} does not match its "
-                         "shift bounds")
-    shape = tuple(hi - lo + 1 for lo, hi in bounds)
-    if tuple(entry["shape"]) != shape:
-        raise ValueError(f"shape of level {list(k)} is not {list(shape)}")
-    coeffs = np.array(entry["coeffs"], dtype=float)
-    if coeffs.shape != (math.prod(shape),):
-        raise ValueError(f"level {list(k)} holds {coeffs.size} coefficients,"
-                         f" not {math.prod(shape)}")
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"level {list(k)} has non-finite coefficients")
-    return SurplusLevel(k=k, s_min=s_min, coeffs=coeffs.reshape(shape))
+    """The dump of rec: its level set and samples, in the row order of
+    sample_grid(rec.delta); ValueError if rec holds no samples."""
+    if rec.samples is None:
+        raise ValueError("a reconstruction without samples cannot be saved")
+    return {"format": _FORMAT, "version": _VERSION, "r": rec.r, "d": rec.d,
+            "xi": rec.delta.xi, "family": rec.delta.family,
+            "levels": [list(k) for k in rec.delta.levels],
+            "samples": rec.samples.tolist()}
 
 
 def from_json_dict(obj: dict) -> Reconstruction:
-    """Reconstruction from a dump; ValueError unless d >= 1, there is a
-    level, every level matches its shift bounds, every coefficient is
-    finite and the level set is downward closed."""
+    """Reconstruction rebuilt from a dump by build_from_samples; ValueError
+    unless d is an integer >= 1, r one of bspline.ORDERS, the levels a
+    nonempty, duplicate-free and downward closed list of d nonnegative
+    integers each, and the samples one finite float per grid point."""
     if obj.get("format") != _FORMAT:
         raise ValueError("not a reconstruction dump")
     if obj.get("version") != _VERSION:
         raise ValueError("unsupported dump version")
-    r, d = obj["r"], obj["d"]
-    if not (isinstance(d, int) and d >= 1 and obj["levels"]):
-        raise ValueError("a dump needs d >= 1 and at least one level")
-    surplus = {}
-    for entry in obj["levels"]:
-        lvl = _dump_level(entry, r, d)
-        if lvl.k in surplus:
-            raise ValueError(f"level {list(lvl.k)} appears twice")
-        surplus[lvl.k] = lvl
-    delta = LevelSet(d=d, levels=tuple(sorted(surplus)),
-                     xi=obj["xi"], family=obj["family"])
-    if not delta.is_downward_closed():
-        raise ValueError("level set must be downward closed")
-    return Reconstruction(r=r, d=d, delta=delta, surplus=surplus,
-                          sample_budget=obj["sample_budget"],
-                          declared_budget=obj["declared_budget"])
+    d, r, levels, samples = (obj.get(key) for key in
+                             ("d", "r", "levels", "samples"))
+    # type() is int: a JSON true is a bool, which isinstance takes for 1
+    if not (type(d) is int and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, not {d!r}")
+    if not (type(r) is int and r in bspline.ORDERS):
+        raise ValueError(f"r must be one of {bspline.ORDERS}, not {r!r}")
+    if not (isinstance(levels, list) and levels):
+        raise ValueError("a dump needs at least one level")
+    for k in levels:
+        if not (isinstance(k, list) and len(k) == d
+                and all(type(v) is int and v >= 0 for v in k)):
+            raise ValueError(f"level {k!r} is not {d} nonnegative integers")
+    delta = LevelSet(d=d, levels=tuple(map(tuple, levels)), xi=obj.get("xi"),
+                     family=obj.get("family"))
+    if len(set(delta.levels)) != len(levels):
+        raise ValueError("a level appears twice")
+    if not (isinstance(samples, list)
+            and all(type(v) is float for v in samples)):  # as save writes
+        raise ValueError("samples must be a list of floats")
+    return build_from_samples(samples, delta, r)
 
 
 def save(rec: Reconstruction, path) -> None:
-    # json.dumps runs the C encoder (json.dump the pure-Python one); level
-    # by level, the text of one level is held in memory at a time
-    obj = to_json_dict(rec)
-    levels, obj["levels"] = obj["levels"], []
+    text = json.dumps(to_json_dict(rec))  # before open: a failure keeps path
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj)[:-2])  # "levels" is the last key
-        for i, entry in enumerate(levels):
-            fh.write(", " * (i > 0) + json.dumps(entry))
-        fh.write("]}")
+        fh.write(text)
 
 
 def load(path) -> Reconstruction:

@@ -246,6 +246,22 @@ def test_exit_2_non_finite_xi(mixed_cfg, capsys, argv, xi):
     assert "config error" in out.err and "sweep.xi" in out.err
 
 
+@pytest.mark.parametrize("override, code", [("sweep.xi=nan", 2),
+                                             ("sweep.budgets=1", 3)])
+@pytest.mark.parametrize("command", ["export-rule", "dump-grid"])
+def test_failing_run_keeps_output_file(mixed_cfg, tmp_path, capsys, command,
+                                       override, code):
+    # the path used to be opened, and so truncated, before validation
+    from sgqi import cli
+
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    assert cli.main([command, "-c", mixed_cfg, "--set", override,
+                     "-o", str(out)]) == code
+    assert out.read_bytes() == b"earlier output\n"
+    capsys.readouterr()
+
+
 def test_dump_grid_golden():
     res = run_cli("dump-grid",
                   "--set", "problem.family=fullgrid",

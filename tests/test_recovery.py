@@ -337,7 +337,6 @@ def test_roundtrip_serialization(tmp_path):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     path = tmp_path / "rec.json"
     recovery.save(rec, path)
-    # written level by level, the same text as one json.dumps of the dump
     assert path.read_text() == json.dumps(recovery.to_json_dict(rec))
     back = recovery.load(path)
     assert back.r == rec.r and back.d == rec.d
@@ -352,12 +351,58 @@ def test_roundtrip_serialization(tmp_path):
                                   recovery.evaluate_batch(rec, X))
 
 
+@settings(max_examples=40, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_roundtrip_is_bitwise(tmp_path_factory, delta, r, seed):
+    f = _rational(np.random.default_rng(seed).uniform(0.5, 3.0, delta.d))
+    rec = recovery.build(f, delta, r)
+    path = tmp_path_factory.mktemp("dump") / "rec.json"
+    recovery.save(rec, path)
+    back = recovery.load(path)
+    assert back.delta.levels == delta.levels
+    assert list(back.surplus) == list(rec.surplus)
+    for k in rec.surplus:
+        assert back.surplus[k].s_min == rec.surplus[k].s_min
+        assert (back.surplus[k].coeffs.tobytes()
+                == rec.surplus[k].coeffs.tobytes())
+    assert back.sample_budget == rec.sample_budget
+    assert back.declared_budget == rec.declared_budget
+    assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+def test_build_from_samples_is_build():
+    delta = grids.delta_mixed(4.0, MIXED)
+    rec = recovery.build(smooth2, delta, 4)
+    assert not rec.samples.flags.writeable
+    values = smooth2(grids.sample_grid(delta).coords())
+    same = recovery.build_from_samples(values, delta, 4)
+    values[0] += 1.0  # the reconstruction holds a copy
+    for k in delta.levels:
+        assert same.surplus[k].coeffs.tobytes() == \
+            rec.surplus[k].coeffs.tobytes()
+    assert same.samples.tobytes() == rec.samples.tobytes()
+    with pytest.raises(ValueError, match="samples for"):
+        recovery.build_from_samples(values[:-1], delta, 4)
+
+
+def test_save_needs_samples(tmp_path):
+    delta = grids.delta_mixed(3.0, MIXED)
+    rec = _random_reconstruction(delta, 4, np.random.default_rng(0))
+    path = tmp_path / "rec.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="without samples"):
+        recovery.save(rec, path)
+    assert path.read_text() == "kept"
+
+
 def _nan_dump():
     # f = 1: R(0.1, 0.1) is 1, carried by the level-(0, 0) spline at shift 0
     rec = recovery.build(lambda X: np.ones(len(X)),
                          grids.delta_mixed(4.0, MIXED), 4)
+    dump = json.loads(json.dumps(recovery.to_json_dict(rec)))
     rec.surplus[(0, 0)].coeffs[1, 1] = np.nan
-    return rec, json.loads(json.dumps(recovery.to_json_dict(rec)))
+    dump["samples"][3] = np.nan
+    return rec, dump
 
 
 def test_nan_coefficient_is_not_skipped_and_dump_is_rejected():
@@ -369,37 +414,66 @@ def test_nan_coefficient_is_not_skipped_and_dump_is_rejected():
 
 def _corrupt(dump, how):
     levels = dump["levels"]
-    at = next(i for i, e in enumerate(levels) if e["k"] == [1, 0])
-    entry = levels[at]
-    if how == "shape":
-        entry["shape"] = entry["shape"][::-1]   # same count, wrong axes
-    elif how == "count":
-        entry["coeffs"].append(0.0)
-    elif how == "s_min":
-        entry["s_min"][0] -= 1
+    at = levels.index([1, 0])
+    if how == "count":
+        dump["samples"].append(0.0)
+    elif how == "nan_sample":
+        dump["samples"][0] = float("nan")
     elif how == "length":
-        entry["k"] = [1, 0, 0]
+        levels[at] = [1, 0, 0]
     elif how == "negative":
-        entry["k"] = [-1, 0]
+        levels[at] = [-1, 0]
+    elif how == "bool_level":
+        levels[at] = [True, 0]
+    elif how == "duplicate":
+        levels.append([1, 0])
     elif how == "hole":
         del levels[at]
     elif how == "empty":
         levels.clear()
     elif how == "d0":
         # one level of no axes would load as a constant
-        dump["d"] = 0
-        levels[:] = [{"k": [], "s_min": [], "shape": [], "coeffs": [1.0]}]
+        dump.update(d=0, levels=[[]], samples=[1.0])
+    elif how == "bool_d":
+        # a valid d = 1 dump but for d: true, which isinstance takes for 1
+        dump.update(d=True, levels=[[0]], samples=[1.0, 2.0])
+    elif how == "bool_r":
+        dump["r"] = True
+    elif how == "r5":
+        dump["r"] = 5
+    elif how == "int_sample":
+        # an int past the float range made numpy raise OverflowError
+        dump["samples"][0] = 10 ** 400
     return dump
 
 
-@pytest.mark.parametrize("how", ["shape", "count", "s_min", "length",
-                                 "negative", "hole", "empty", "d0"])
+@pytest.mark.parametrize("how", ["count", "nan_sample", "length", "negative",
+                                 "bool_level", "duplicate", "hole", "empty",
+                                 "d0", "bool_d", "bool_r", "r5",
+                                 "int_sample"])
 def test_load_rejects_malformed_levels(how):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 4)
     good = recovery.to_json_dict(rec)
     recovery.from_json_dict(json.loads(json.dumps(good)))
     with pytest.raises(ValueError):
         recovery.from_json_dict(_corrupt(json.loads(json.dumps(good)), how))
+
+
+def test_load_rejects_version_1(tmp_path):
+    # version 1 stored every coefficient; no reader for it is kept
+    rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 4)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({
+        "format": "sgqi-reconstruction", "version": 1, "r": 4, "d": 2,
+        "xi": rec.delta.xi, "family": rec.delta.family,
+        "sample_budget": rec.sample_budget,
+        "declared_budget": rec.declared_budget,
+        "levels": [{"k": list(k), "s_min": list(lvl.s_min),
+                    "shape": list(lvl.coeffs.shape),
+                    "coeffs": lvl.coeffs.reshape(-1).tolist()}
+                   for k, lvl in rec.surplus.items()]}))
+    with pytest.raises(ValueError, match="unsupported dump version"):
+        recovery.load(path)
 
 
 def test_load_rejects_foreign_payload():
