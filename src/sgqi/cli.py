@@ -342,15 +342,17 @@ def _emit(cfg, header, rows, dats):
         lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
                  for row in rows]
     text = "\n".join(lines) + "\n"
-    _write(cfg["output"]["path"], lambda fh: fh.write(text))
     dat_dir = cfg["output"].get("dat_dir")
+    if dat_dir:  # first: a dat_dir that cannot be made keeps the output
+        try:
+            os.makedirs(dat_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"output.dat_dir: {e}") from e
+    _write(cfg["output"]["path"], lambda fh: fh.write(text))
     if dat_dir:
-        os.makedirs(dat_dir, exist_ok=True)
         for label, pts in dats.items():
-            fname = os.path.join(dat_dir, f"{label}.dat")
-            with open(fname, "w", newline="") as fh:
-                for n, e in pts:
-                    fh.write(f"{n} {repr(float(e))}\n")
+            _write(os.path.join(dat_dir, f"{label}.dat"), lambda fh: fh.write(
+                "".join(f"{n} {repr(float(e))}\n" for n, e in pts)))
 
 
 def _write(path, write) -> None:
@@ -358,9 +360,12 @@ def _write(path, write) -> None:
     after all that can fail, so a failing run leaves the file as it was."""
     if path == "-":
         write(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             write(fh)
+    except OSError as e:
+        raise ConfigError(f"output: {e}") from e
 
 
 _TABLE_COMMANDS = {

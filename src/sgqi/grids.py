@@ -12,8 +12,10 @@ the number of distinct grid points is reported separately.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -142,13 +144,22 @@ class SmoothnessSpec:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Finite downward-closed set of level vectors with its defining xi."""
+    """Finite downward-closed set of level vectors with its defining xi.
+
+    A set enumerated from a functional also holds, per level, its value
+    phi and its gate, the largest functional value compared on the
+    level's search path: the set at any xi' <= xi is the levels whose gate
+    is within _bound(xi').  No step of a path lowers a monotone functional,
+    so gate is phi in exact arithmetic; the gate is the search's own
+    floating-point comparisons, so membership by it is exact.
+    """
 
     d: int
     levels: tuple
     xi: float
     family: str
     phi: tuple = ()
+    gate: tuple = ()
 
     @cached_property
     def _index(self):
@@ -163,16 +174,20 @@ class LevelSet:
     def __iter__(self):
         return iter(self.levels)
 
-    def budget(self) -> int:
-        """Sample count with multiplicity: sum over levels of
-        prod_i (2^{k_i} + 1)."""
-        total = 0
+    @cached_property
+    def _sizes(self) -> list:
+        """prod_i (2^{k_i} + 1), the node count, of every level."""
+        out = []
         for k in self.levels:
             m = 1
             for ki in k:
                 m *= (1 << ki) + 1
-            total += m
-        return total
+            out.append(m)
+        return out
+
+    def budget(self) -> int:
+        """Sample count with multiplicity: the sum of the sizes."""
+        return sum(self._sizes)
 
     def distinct_points(self) -> int:
         """Number of distinct grid points of the union grid.
@@ -211,10 +226,15 @@ class LevelSet:
                          for k in sorted(self.levels)) + "\n"
 
 
+def _bound(xi: float) -> float:
+    """The largest functional value the set at xi admits."""
+    return xi + _TOL * max(1.0, abs(xi))
+
+
 def _enumerate(d: int, b: tuple, cinf: float, xi: float):
-    """All k >= 0 with sum b_i k_i + cinf*max(k) <= xi, by depth-first
-    search; requires b_i >= 0 and b_i + cinf > 0 (monotone, finite) and a
-    finite xi."""
+    """Levels, phi and gate of all k >= 0 with sum b_i k_i + cinf*max(k)
+    <= xi, by depth-first search; requires b_i >= 0 and b_i + cinf > 0
+    (monotone, finite) and a finite xi."""
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, not {xi!r}")
     for bi in b:
@@ -223,38 +243,44 @@ def _enumerate(d: int, b: tuple, cinf: float, xi: float):
                              "increasing for these parameters")
     levels = []
     phis = []
+    gates = []
     k = [0] * d
-    bound = xi + _TOL * max(1.0, abs(xi))
+    bound = _bound(xi)
 
-    def rec(i, lin, mx):
+    def rec(i, lin, mx, gate):
         if i == d:
             levels.append(tuple(k))
             phis.append(lin + cinf * mx)
+            gates.append(gate)
             return
         v = 0
         while True:
             nl = lin + b[i] * v
-            nm = max(mx, v)
-            if nl + cinf * nm > bound:
+            nm = v if v > mx else mx
+            val = nl + cinf * nm
+            if val > bound:
                 break
+            if val > gate:
+                gate = val
             k[i] = v
-            rec(i + 1, nl, nm)
+            rec(i + 1, nl, nm, gate)
             v += 1
         k[i] = 0
 
     if xi >= 0:
-        rec(0, 0.0, 0)
+        rec(0, 0.0, 0, 0.0)
     # rec holds itself through its closure cell; without this the cycle
-    # keeps levels and phis alive until the cyclic collector runs
+    # keeps levels, phis and gates alive until the cyclic collector runs
     del rec
     order = sorted(range(len(levels)), key=lambda i: levels[i])
-    return [levels[i] for i in order], [phis[i] for i in order]
+    return ([levels[i] for i in order], [phis[i] for i in order],
+            [gates[i] for i in order])
 
 
 def _build(xi, d, b, cinf, family) -> LevelSet:
-    levels, phis = _enumerate(d, tuple(b), float(cinf), float(xi))
+    levels, phis, gates = _enumerate(d, tuple(b), float(cinf), float(xi))
     return LevelSet(d=d, levels=tuple(levels), xi=float(xi),
-                    family=family, phi=tuple(phis))
+                    family=family, phi=tuple(phis), gate=tuple(gates))
 
 
 def _pick_epsilon(spec: SmoothnessSpec, upper: float) -> float:
@@ -268,61 +294,71 @@ def _pick_epsilon(spec: SmoothnessSpec, upper: float) -> float:
     return eps
 
 
-def _hybrid_functional(spec: SmoothnessSpec, beta: float, sharp: bool):
-    """(b, c) of the hybrid functional sum_i b_i k_i + c max_i k_i with
-    exponent beta, sharp or epsilon-perturbed."""
-    al = spec.alpha - trade_exponent(spec.p, spec.q)
-    if sharp:
-        return (al,) * spec.d, beta
+def _mixed(spec: SmoothnessSpec, cls: str, flag) -> tuple:
+    """In d = 1 there is nothing to perturb and both classes coincide."""
+    if spec.kind != "mixed":
+        raise ValueError("spec kind must be mixed")
+    tr = trade_exponent(spec.p, spec.q)
+    a = spec.a
+    if cls == "A" or spec.d == 1:
+        return tuple(ai - tr for ai in a), 0.0, f"mixed-{cls}"
+    eps = _pick_epsilon(spec, a[1] - a[0])
+    return ((a[0] - tr,) + tuple(ai - eps - tr for ai in a[1:]), 0.0,
+            f"mixed-{cls}")
+
+
+def _hybrid(spec: SmoothnessSpec, cls: str, flag) -> tuple:
+    """Class A is sharp, class B epsilon-perturbed."""
+    if spec.kind != "hybrid":
+        raise ValueError("spec kind must be hybrid")
+    al, beta = spec.alpha - trade_exponent(spec.p, spec.q), spec.beta
+    if cls == "A":
+        return (al,) * spec.d, beta, f"hybrid-{cls}"
     eps = _pick_epsilon(spec, min(al, abs(beta)))
     if beta > 0:
-        return (al + eps / spec.d,) * spec.d, beta - eps
-    return (al - eps,) * spec.d, beta + eps
+        return (al + eps / spec.d,) * spec.d, beta - eps, f"hybrid-{cls}"
+    return (al - eps,) * spec.d, beta + eps, f"hybrid-{cls}"
+
+
+def _energy(spec: SmoothnessSpec, cls: str, flag) -> tuple:
+    """The hybrid functional at beta - gamma; flag selects the sharp
+    (theta <= tau*) variant or the epsilon-perturbed one."""
+    if spec.kind != "hybrid" or spec.gamma is None:
+        raise ValueError("spec must be hybrid with gamma for energy grids")
+    if flag is None:
+        raise ValueError("energy family needs the theta/tau* flag")
+    b, cinf, _ = _hybrid(replace(spec, beta=spec.beta - spec.gamma),
+                         "A" if flag else "B", None)
+    return b, cinf, "energy" if flag else "energy-eps"
+
+
+def _delta(xi: float, spec: SmoothnessSpec, functional, cls=None,
+           flag=None) -> LevelSet:
+    """The level set at xi of functional, one of _mixed, _hybrid and
+    _energy: each gives the (b, c, set name) of its family's functional
+    for a validated spec, the triple class and the theta/tau* flag."""
+    spec.validate(strict=False)
+    b, cinf, name = functional(
+        spec, spec.triple_class() if cls is None else cls, flag)
+    return _build(xi, spec.d, b, cinf, name)
 
 
 def delta_hybrid(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> LevelSet:
     """Level set for hybrid smoothness (alpha, beta), class A or B."""
-    spec.validate(strict=False)
-    if spec.kind != "hybrid":
-        raise ValueError("spec kind must be hybrid")
-    if cls is None:
-        cls = spec.triple_class()
-    b, cinf = _hybrid_functional(spec, spec.beta, cls == "A")
-    return _build(xi, spec.d, b, cinf, f"hybrid-{cls}")
+    return _delta(xi, spec, _hybrid, cls)
 
 
 def delta_mixed(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> LevelSet:
-    """Level set for mixed smoothness vector a, class A or B.
-
-    In d = 1 there is nothing to perturb and both classes coincide.
-    """
-    spec.validate(strict=False)
-    if spec.kind != "mixed":
-        raise ValueError("spec kind must be mixed")
-    if cls is None:
-        cls = spec.triple_class()
-    tr = trade_exponent(spec.p, spec.q)
-    a = spec.a
-    if cls == "A" or spec.d == 1:
-        b = tuple(ai - tr for ai in a)
-    else:
-        eps = _pick_epsilon(spec, a[1] - a[0])
-        b = (a[0] - tr,) + tuple(ai - eps - tr for ai in a[1:])
-    return _build(xi, spec.d, b, 0.0, f"mixed-{cls}")
+    """Level set for mixed smoothness vector a, class A or B."""
+    return _delta(xi, spec, _mixed, cls)
 
 
 def delta_energy(xi: float, spec: SmoothnessSpec,
                  theta_le_taustar: bool) -> LevelSet:
     """Level set for recovery measured in the energy norm with exponent
-    gamma: the hybrid one at beta - gamma.  The boolean selects the sharp
-    (theta <= tau*) variant or the epsilon-perturbed one."""
-    spec.validate(strict=False)
-    if spec.kind != "hybrid" or spec.gamma is None:
-        raise ValueError("spec must be hybrid with gamma for energy grids")
-    b, cinf = _hybrid_functional(spec, spec.beta - spec.gamma,
-                                 theta_le_taustar)
-    return _build(xi, spec.d, b, cinf,
-                  "energy" if theta_le_taustar else "energy-eps")
+    gamma: the hybrid one at beta - gamma, sharp (theta <= tau*) or
+    epsilon-perturbed."""
+    return _delta(xi, spec, _energy, flag=theta_le_taustar)
 
 
 def comparison_sets(xi: float, lam: float, kind: str, d: int) -> LevelSet:
@@ -340,15 +376,12 @@ def comparison_sets(xi: float, lam: float, kind: str, d: int) -> LevelSet:
 def delta_for_family(xi: float, spec: SmoothnessSpec, family: str,
                      cls: str | None = None,
                      theta_le_taustar_flag: bool | None = None) -> LevelSet:
-    if family == "hybrid":
-        return delta_hybrid(xi, spec, cls)
-    if family == "mixed":
-        return delta_mixed(xi, spec, cls)
+    """The family's level set, through the module's delta_* functions."""
     if family == "energy":
-        if theta_le_taustar_flag is None:
-            raise ValueError("energy family needs the theta/tau* flag")
         return delta_energy(xi, spec, theta_le_taustar_flag)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("mixed", "hybrid"):
+        raise ValueError(f"unknown family {family!r}")
+    return (delta_mixed if family == "mixed" else delta_hybrid)(xi, spec, cls)
 
 
 def nu_exponent(spec: SmoothnessSpec, family: str,
@@ -375,26 +408,28 @@ def nu_exponent(spec: SmoothnessSpec, family: str,
 
 def xi_for_budget(n: int, make_delta) -> float:
     """Largest xi on the breakpoint lattice of the family's functional
-    with budget(make_delta(xi)) <= n.
+    (the values phi(k), rounded to 9 places) with budget(make_delta(xi))
+    <= n.
 
-    The budget is a nondecreasing step function of xi jumping exactly at
-    the functional values phi(k), so it suffices to search those.
+    Doubling xi from 1 finds a set past n; it holds every smaller set, as
+    the levels whose gate is within _bound(xi).  With its levels sorted by
+    gate, the prefix sums of their sizes budget every candidate xi by one
+    bisection, and the budget is nondecreasing in xi.
     """
     if make_delta(0.0).budget() > n:
         raise ValueError("budget below minimal grid")
     hi = 1.0
-    while make_delta(hi).budget() <= n:
+    while (top := make_delta(hi)).budget() <= n:
         hi *= 2.0
-    cands = sorted({round(v, 9) for v in make_delta(hi).phi})
-    lo_i, hi_i = 0, len(cands) - 1
+    order = sorted(range(len(top)), key=top.gate.__getitem__)
+    gates = [top.gate[i] for i in order]
+    budgets = list(itertools.accumulate((top._sizes[i] for i in order),
+                                        initial=0))
     best = 0.0
-    while lo_i <= hi_i:
-        mid = (lo_i + hi_i) // 2
-        if make_delta(cands[mid]).budget() <= n:
-            best = cands[mid]
-            lo_i = mid + 1
-        else:
-            hi_i = mid - 1
+    for xi in sorted({round(v, 9) for v in set(top.phi)}):
+        if budgets[bisect.bisect_right(gates, _bound(xi))] > n:
+            break
+        best = xi
     return float(best)
 
 

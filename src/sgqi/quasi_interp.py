@@ -101,20 +101,23 @@ def _sample_numerators(r: int, k: int):
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _refine_rows(r: int, k: int, rows, cols, vals):
+def _refine_rows(r: int, k: int, rows, cols, vals) -> list:
     """Triplets on the level-k shift rows carried to the level-k+1 rows by
     the two-scale relation M(x) = 2^{1-r} sum_j C(r, j) M(2x - j + r/2):
     shift s/den feeds t/den with t = 2s + den j - den r/2.  Targets outside
     shift_bounds(r, k + 1) vanish on [0,1], the right-open order-1 box at
-    x = 1 included, and are dropped.  The weights are dyadic."""
+    x = 1 included, and are dropped.  The weights are dyadic.  One part per
+    j, so no (nnz, r + 1) array is ever alive."""
     lo = bspline.shift_bounds(r, k)[0]
     t_lo, t_hi = bspline.shift_bounds(r, k + 1)
     den = bspline.shift_denominator(r)
-    t = 2 * (rows[:, None] + lo) + den * np.arange(r + 1) - den * r // 2
-    w = np.array([math.comb(r, j) for j in range(r + 1)]) / (1 << (r - 1))
-    keep = (t >= t_lo) & (t <= t_hi)
-    return (t[keep] - t_lo, np.broadcast_to(cols[:, None], t.shape)[keep],
-            (vals[:, None] * w)[keep])
+    parts = []
+    for j in range(r + 1):
+        t = 2 * (rows + lo) + den * j - den * r // 2
+        keep = (t >= t_lo) & (t <= t_hi)
+        parts.append((t[keep] - t_lo, cols[keep],
+                      vals[keep] * (math.comb(r, j) / (1 << (r - 1)))))
+    return parts
 
 
 @dataclass(eq=False)
@@ -184,10 +187,28 @@ def surplus_matrix(r: int, k: int):
     """
     parts = [_sample_numerators(r, k)]
     if k > 0:
-        rows, cols, vals = _refine_rows(r, k - 1,
-                                        *_sample_numerators(r, k - 1))
-        parts.append((rows, 2 * cols, -vals))
+        parts += [(rows, 2 * cols, -vals) for rows, cols, vals in
+                  _refine_rows(r, k - 1, *_sample_numerators(r, k - 1))]
     return _level_table(r, k, parts)
+
+
+@lru_cache(maxsize=None)
+def _chain_matrix(r: int, m: int):
+    """surplus_matrix(r, j) for j = 0..m stacked into one Table over the
+    level-m nodes, level j's node c being node c 2^(m-j), and the first
+    row of each level (m + 2 offsets).  Rows keep their entries in order,
+    so each row block of a product is bitwise that level's product with
+    the every-2^(m-j)-th node subsample."""
+    tabs = [surplus_matrix(r, j)[0] for j in range(m + 1)]
+    first = np.cumsum([0] + [W.shape[0] for W in tabs])
+    nnz = np.cumsum([0] + [len(W.data) for W in tabs])
+    indptr = np.concatenate([[0]] + [W.indptr[1:] + n
+                                     for W, n in zip(tabs, nnz)])
+    indices = np.concatenate([W.indices << (m - j)
+                              for j, W in enumerate(tabs)])
+    return Table(indptr.astype(np.int32), indices,
+                 np.concatenate([W.data for W in tabs]),
+                 (int(first[-1]), (1 << m) + 1)), first.tolist()
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +219,7 @@ def refine_matrix(r: int, k: int) -> Table:
     lo, hi = bspline.shift_bounds(r, k)
     t_lo, t_hi = bspline.shift_bounds(r, k + 1)
     s = np.arange(hi - lo + 1)
-    return _table([_refine_rows(r, k, s, s, np.ones(len(s)))],
+    return _table(_refine_rows(r, k, s, s, np.ones(len(s))),
                   (t_hi - t_lo + 1, len(s)))
 
 
@@ -261,12 +282,18 @@ def _node_tensor(fv, k: tuple) -> np.ndarray:
     return fv(pts).reshape([(1 << ki) + 1 for ki in k])
 
 
+@lru_cache(maxsize=None)
+def _axis_perms(ndim: int, axis: int) -> tuple:
+    """The permutation bringing axis to the front, and its inverse."""
+    fwd = (axis,) + tuple(i for i in range(ndim) if i != axis)
+    return fwd, tuple(fwd.index(i) for i in range(ndim))
+
+
 def _apply_along_axis(W, T: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(T, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    res = W @ flat
-    out = res.reshape((W.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+    fwd, back = _axis_perms(T.ndim, axis)
+    moved = T.transpose(fwd)
+    res = W @ moved.reshape(T.shape[axis], -1)
+    return res.reshape((W.shape[0],) + moved.shape[1:]).transpose(back)
 
 
 def contract(T: np.ndarray, mats) -> np.ndarray:

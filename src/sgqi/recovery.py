@@ -15,14 +15,15 @@ the finest of them by B-spline refinement.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bspline
 from .grids import LevelSet, SampleGrid, chains, sample_grid
-from .quasi_interp import (SurplusLevel, _apply_along_axis, refine_matrix,
-                           surplus_matrix, vectorize_handle)
+from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
+                           refine_matrix, surplus_matrix, vectorize_handle)
 
 SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
 
@@ -65,9 +66,10 @@ def build_from_samples(values, delta: LevelSet, r: int) -> Reconstruction:
 
 def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     """Per axis-0 chain, the level-(m, rest) nodes are contracted off axis 0
-    once; level (j, rest) applies its axis-0 table to every 2^(m-j)-th row.
-    As contract applies axis 0 last and a table treats each column alone,
-    every level is bitwise q_level's."""
+    once, then by the stacked axis-0 tables of levels (0..m, rest) in one
+    product; level j's coefficients are its row block.  As contract
+    applies axis 0 last and a table treats each column alone, every level
+    is bitwise q_level's."""
     delta = grid.delta
     vals = np.array(values, dtype=float)  # owned, so it can be frozen
     if vals.shape != (grid.distinct_points,):
@@ -77,18 +79,19 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     if bad:
         raise ValueError(f"{bad} of {vals.size} samples are non-finite")
     vals.flags.writeable = False
+    lo = bspline.shift_bounds(r, 0)[0]  # the first shift of every level
     built = {}
     for rest, m in chains(delta.levels).items():
         top = (m,) + rest
         T = vals[grid.positions(top)].reshape([(1 << ki) + 1 for ki in top])
         for axis in range(delta.d - 1, 0, -1):
             T = _apply_along_axis(surplus_matrix(r, top[axis])[0], T, axis)
-        s_rest = tuple(surplus_matrix(r, ki)[1] for ki in rest)
+        W, first = _chain_matrix(r, m)
+        T = _apply_along_axis(W, T, 0)
         for j in range(m + 1):
-            W, lo = surplus_matrix(r, j)
             built[(j,) + rest] = SurplusLevel(
-                k=(j,) + rest, s_min=(lo,) + s_rest,
-                coeffs=_apply_along_axis(W, T[::1 << (m - j)], 0))
+                k=(j,) + rest, s_min=(lo,) * delta.d,
+                coeffs=T[first[j]:first[j + 1]])
     return Reconstruction(r=r, d=delta.d, delta=delta,
                           surplus={k: built[k] for k in delta.levels},
                           sample_budget=grid.distinct_points,
@@ -190,9 +193,10 @@ def to_json_dict(rec: Reconstruction) -> dict:
 
 def from_json_dict(obj: dict) -> Reconstruction:
     """Reconstruction rebuilt from a dump by build_from_samples; ValueError
-    unless d is an integer >= 1, r one of bspline.ORDERS, the levels a
-    nonempty, duplicate-free and downward closed list of d nonnegative
-    integers each, and the samples one finite float per grid point."""
+    unless d is an integer >= 1, r one of bspline.ORDERS, xi a finite
+    number, family a string, the levels a nonempty, duplicate-free and
+    downward closed list of d nonnegative integers each, and the samples
+    one finite float per grid point."""
     if obj.get("format") != _FORMAT:
         raise ValueError("not a reconstruction dump")
     if obj.get("version") != _VERSION:
@@ -210,8 +214,14 @@ def from_json_dict(obj: dict) -> Reconstruction:
         if not (isinstance(k, list) and len(k) == d
                 and all(type(v) is int and v >= 0 for v in k)):
             raise ValueError(f"level {k!r} is not {d} nonnegative integers")
-    delta = LevelSet(d=d, levels=tuple(map(tuple, levels)), xi=obj.get("xi"),
-                     family=obj.get("family"))
+    xi, family = obj.get("xi"), obj.get("family")
+    # comparison, unlike math.isfinite, takes any int
+    if not (type(xi) in (int, float) and -math.inf < xi < math.inf):
+        raise ValueError(f"xi must be a finite number, not {xi!r}")
+    if type(family) is not str:
+        raise ValueError(f"family must be a string, not {family!r}")
+    delta = LevelSet(d=d, levels=tuple(map(tuple, levels)), xi=xi,
+                     family=family)
     if len(set(delta.levels)) != len(levels):
         raise ValueError("a level appears twice")
     if not (isinstance(samples, list)

@@ -7,11 +7,13 @@ sample and surplus functionals derived row by row in Fractions, a scalar
 boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
-here as their references: the per-level evaluation kernel (it calls the
-package's single-level bspline.eval_expansion), centered_expansion, the
-half-integer candidate kernel that was bspline.eval_expansion before the
-integer-knot one and is now its reference, the pointwise tensor spline and
-the one-shift-at-a-time spline integrals (they call bspline.eval_centered).
+here as their references: the depth-first level search with a bisection
+per budget, the np.moveaxis axis product, the per-level evaluation kernel
+(it calls the package's single-level bspline.eval_expansion),
+centered_expansion, the half-integer candidate kernel that was
+bspline.eval_expansion before the integer-knot one and is now its
+reference, the pointwise tensor spline and the one-shift-at-a-time spline
+integrals (they call bspline.eval_centered).
 The Besov-type coefficient quasinorm lives here too: only tests use it.
 """
 
@@ -403,6 +405,95 @@ def centered_expansion(r: int, k, s_min, coeffs: np.ndarray,
             idx = idx + offs[i][combo[i]]
         out += flat.take(idx) * w
     return out
+
+
+# --------------------------------------------------------------------------
+# level sets and budget inversion as the package had them before
+# xi_for_budget budgeted one enumeration: a depth-first search per xi and
+# a bisection over the breakpoints, one search per probe
+
+
+class DfsSet:
+    """The levels (sorted) and functional values of one depth-first
+    search, with the package's budget."""
+
+    def __init__(self, levels, phi):
+        self.levels, self.phi = tuple(levels), tuple(phi)
+
+    def budget(self) -> int:
+        return sum(math.prod((1 << ki) + 1 for ki in k) for k in self.levels)
+
+
+def dfs_set(d: int, b: tuple, cinf: float, xi: float) -> DfsSet:
+    """All k >= 0 with sum b_i k_i + cinf*max(k) <= xi, by depth-first
+    search; requires b_i >= 0 and b_i + cinf > 0 (monotone, finite) and a
+    finite xi."""
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, not {xi!r}")
+    for bi in b:
+        if bi < 0 or bi + cinf <= 0:
+            raise ValueError("level-set functional is not monotone "
+                             "increasing for these parameters")
+    levels = []
+    phis = []
+    k = [0] * d
+    bound = xi + 1e-9 * max(1.0, abs(xi))
+
+    def rec(i, lin, mx):
+        if i == d:
+            levels.append(tuple(k))
+            phis.append(lin + cinf * mx)
+            return
+        v = 0
+        while True:
+            nl = lin + b[i] * v
+            nm = max(mx, v)
+            if nl + cinf * nm > bound:
+                break
+            k[i] = v
+            rec(i + 1, nl, nm)
+            v += 1
+        k[i] = 0
+
+    if xi >= 0:
+        rec(0, 0.0, 0)
+    del rec
+    order = sorted(range(len(levels)), key=lambda i: levels[i])
+    return DfsSet([levels[i] for i in order], [phis[i] for i in order])
+
+
+def bisection_xi_for_budget(n: int, make_delta) -> float:
+    """Largest xi on the breakpoint lattice of the family's functional
+    with budget(make_delta(xi)) <= n.
+
+    The budget is a nondecreasing step function of xi, so a bisection over
+    the functional values phi(k) finds it.
+    """
+    if make_delta(0.0).budget() > n:
+        raise ValueError("budget below minimal grid")
+    hi = 1.0
+    while make_delta(hi).budget() <= n:
+        hi *= 2.0
+    cands = sorted({round(v, 9) for v in make_delta(hi).phi})
+    lo_i, hi_i = 0, len(cands) - 1
+    best = 0.0
+    while lo_i <= hi_i:
+        mid = (lo_i + hi_i) // 2
+        if make_delta(cands[mid]).budget() <= n:
+            best = cands[mid]
+            lo_i = mid + 1
+        else:
+            hi_i = mid - 1
+    return float(best)
+
+
+def apply_along_axis_moveaxis(W, T: np.ndarray, axis: int) -> np.ndarray:
+    """W applied along one axis of T, the axis moved by np.moveaxis."""
+    moved = np.moveaxis(T, axis, 0)
+    flat = moved.reshape(moved.shape[0], -1)
+    res = W @ flat
+    out = res.reshape((W.shape[0],) + moved.shape[1:])
+    return np.moveaxis(out, 0, axis)
 
 
 def xi_scan(n: int, make_delta, xi_max: float, step: float = 1.0 / 64.0):

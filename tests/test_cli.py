@@ -262,6 +262,29 @@ def test_failing_run_keeps_output_file(mixed_cfg, tmp_path, capsys, command,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["dat_dir", "output"])
+def test_unwritable_output_is_a_config_error(mixed_cfg, tmp_path, capsys,
+                                             where):
+    # a dat_dir that is a regular file used to fail after the table was
+    # written, with an exit-1 traceback
+    from sgqi import cli
+
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["recover", "-c", mixed_cfg, "--set", "sweep.budgets=4,10"]
+    if where == "dat_dir":
+        argv += ["--set", f"output.dat_dir={blocker}", "-o", str(out)]
+    else:
+        argv += ["-o", str(blocker / "out.csv")]
+    assert cli.main(argv) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert blocker.read_text() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(blocker) in err
+
+
 def test_dump_grid_golden():
     res = run_cli("dump-grid",
                   "--set", "problem.family=fullgrid",

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import cubature, grids
-from oracles import (box_scan_levels, dict_weights, distinct_dyadic_points,
-                     dyadic_point_set, level_lattice, xi_scan)
+from oracles import (bisection_xi_for_budget, box_scan_levels, dfs_set,
+                     dict_weights, distinct_dyadic_points, dyadic_point_set,
+                     level_lattice, xi_scan)
 
 
 MIXED = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
@@ -170,6 +171,73 @@ def test_xi_for_budget_matches_scan():
     assert make_fg(xi).budget() <= 100 < make_fg(xi + 1.0).budget()
     with pytest.raises(ValueError, match="minimal grid"):
         grids.xi_for_budget(1, make)
+
+
+def _xi_cases():
+    """(make_delta, d, b, c) of every family: mixed at d = 1..5 in both
+    classes, hybrid with beta > 0 and beta < 0 (c < 0), energy (c < 0)
+    with both flags, fullgrid and smolyak."""
+    def case(private, spec, cls, flag, make):
+        b, c, _ = private(spec, cls or spec.triple_class(), flag)
+        return make, spec.d, b, c
+
+    out = []
+    for d in range(1, 6):
+        spec = grids.SmoothnessSpec(d=d, r=4, p=2.0, theta=2.0, q=2.0,
+                                    kind="mixed",
+                                    a=tuple(1.0 + 0.25 * i for i in range(d)))
+        for cls in "AB":
+            out.append(case(grids._mixed, spec, cls, None,
+                            lambda xi, s=spec, c=cls: grids.delta_mixed(
+                                xi, s, c)))
+    pos = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
+                               kind="hybrid", alpha=1.0, beta=0.5)
+    neg = grids.SmoothnessSpec(d=3, r=4, p=2.0, theta=2.0, q=2.0,
+                               kind="hybrid", alpha=2.0, beta=-0.5)
+    for spec in (pos, neg):
+        for cls in "AB":
+            out.append(case(grids._hybrid, spec, cls, None,
+                            lambda xi, s=spec, c=cls: grids.delta_hybrid(
+                                xi, s, c)))
+    energy = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=2.0, q=2.0,
+                                  kind="hybrid", alpha=2.0, beta=0.5,
+                                  gamma=1.0)
+    for flag in (True, False):
+        out.append(case(grids._energy, energy, None, flag,
+                        lambda xi, f=flag: grids.delta_energy(xi, energy, f)))
+    for d in (2, 3):
+        out.append((lambda xi, d=d: grids.comparison_sets(
+            xi, 1.5, "fullgrid", d), d, (0.0,) * d, 1.5))
+        out.append((lambda xi, d=d: grids.comparison_sets(
+            xi, 1.5, "smolyak", d), d, (1.5,) * d, 0.0))
+    return out
+
+
+XI_CASES = _xi_cases()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, len(XI_CASES) - 1), st.floats(0.0, 9.0),
+       st.integers(-1, 1))
+def test_xi_for_budget_matches_bisection_oracle(case, xi, step):
+    # the budget of a set at a breakpoint, one below it and one above it:
+    # either side of a plateau edge, and below the minimal grid at xi = 0
+    make, d, b, c = XI_CASES[case]
+    oracle = lambda x: dfs_set(d, b, c, x)
+    delta, want_set = make(xi), oracle(xi)
+    assert delta.levels == want_set.levels and delta.phi == want_set.phi
+    # the set at xi is the levels of a larger set gated within its bound
+    top = make(2.0 * xi + 1.0)
+    assert tuple(k for k, g in zip(top.levels, top.gate)
+                 if g <= grids._bound(xi)) == delta.levels
+    n = delta.budget() + step
+    if oracle(0.0).budget() > n:
+        with pytest.raises(ValueError, match="minimal grid"):
+            grids.xi_for_budget(n, make)
+        return
+    got = grids.xi_for_budget(n, make)
+    assert type(got) is float
+    assert got.hex() == bisection_xi_for_budget(n, oracle).hex()
 
 
 def test_nu_exponent_values():

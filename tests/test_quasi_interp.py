@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from sgqi import bspline, quasi_interp as qi
 from oracles import (MASKS, BoundaryExtendedSampler as extend, a_coeff,
-                     a_weights, faber_table, pairs_even,
-                     pairs_odd, surplus_bounds, surplus_weights, table_csr)
+                     a_weights, apply_along_axis_moveaxis, faber_table,
+                     pairs_even, pairs_odd, surplus_bounds, surplus_weights,
+                     table_csr)
 
 
 def scipy_csr(T):
@@ -336,3 +339,45 @@ def test_refinement_reproduces_level(r):
         got = bspline.eval_expansion(r, tuple(kk), s_ref, T, X)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=4), st.integers(0, 2**32 - 1))
+def test_apply_along_axis_matches_moveaxis(r, levels, seed):
+    # every axis of C-ordered, transposed and strided inputs
+    rng = np.random.default_rng(seed)
+    shape = [(1 << k) + 1 for k in levels]
+    C = rng.standard_normal(shape)
+    big = rng.standard_normal([2 * n for n in shape])
+    views = [C, C.transpose(), C[..., ::-1],
+             big[tuple(slice(None, None, 2) for _ in shape)]]
+    for T in views:
+        for axis in range(T.ndim):
+            k = (T.shape[axis] - 1).bit_length() - 1  # 2^k + 1 entries
+            for W in (qi.surplus_matrix(r, k)[0], qi.sample_matrix(r, k)[0]):
+                assert same_bits(qi._apply_along_axis(W, T, axis),
+                                 apply_along_axis_moveaxis(W, T, axis))
+
+
+@pytest.mark.parametrize("r", bspline.ORDERS)
+def test_chain_matrix_stacks_the_level_products(r):
+    # row block j of the stacked product is level j's table applied to
+    # every 2^(m-j)-th node, bit for bit
+    rng = np.random.default_rng(r)
+    for m in range(9):
+        W, first = qi._chain_matrix(r, m)
+        assert len(first) == m + 2 and first[-1] == W.shape[0]
+        for T in (rng.standard_normal((1 << m) + 1),
+                  rng.standard_normal(((1 << m) + 1, 1)),
+                  rng.standard_normal(((1 << m) + 1, 3))):
+            got = W @ T
+            for j in range(m + 1):
+                want = qi.surplus_matrix(r, j)[0] @ T[::1 << (m - j)]
+                assert same_bits(got[first[j]:first[j + 1]], want), (m, j)

@@ -441,6 +441,14 @@ def _corrupt(dump, how):
         dump["r"] = True
     elif how == "r5":
         dump["r"] = 5
+    elif how == "xi_string":
+        dump["xi"] = "not a number"
+    elif how == "xi_bool":
+        dump["xi"] = True
+    elif how == "xi_nan":
+        dump["xi"] = float("nan")
+    elif how == "family_list":
+        dump["family"] = [1]
     elif how == "int_sample":
         # an int past the float range made numpy raise OverflowError
         dump["samples"][0] = 10 ** 400
@@ -450,7 +458,8 @@ def _corrupt(dump, how):
 @pytest.mark.parametrize("how", ["count", "nan_sample", "length", "negative",
                                  "bool_level", "duplicate", "hole", "empty",
                                  "d0", "bool_d", "bool_r", "r5",
-                                 "int_sample"])
+                                 "int_sample", "xi_string", "xi_bool",
+                                 "xi_nan", "family_list"])
 def test_load_rejects_malformed_levels(how):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 4)
     good = recovery.to_json_dict(rec)
