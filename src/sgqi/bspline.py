@@ -87,10 +87,12 @@ def shift_bounds(r: int, k: int) -> tuple[int, int]:
     return (-r + 1, (1 << (k + 1)) + r - 1)
 
 
+@lru_cache(maxsize=None)
 def _integral_centered(r: int, a: float, b: float) -> float:
     """Integral of M over [a, b], a subinterval of its support, piece by
     piece between the knots with a Gauss rule of ceil(r/2) points, exact
-    for the degree r-1 polynomial pieces."""
+    for the degree r-1 polynomial pieces.  The clipped intervals repeat
+    from level to level, so each is integrated once per process."""
     half = r / 2.0
     knots = [-half + i for i in range(r + 1)]
     cuts = sorted({a, b, *[c for c in knots if a < c < b]})

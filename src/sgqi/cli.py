@@ -343,16 +343,22 @@ def _emit(cfg, header, rows, dats):
                  for row in rows]
     text = "\n".join(lines) + "\n"
     dat_dir = cfg["output"].get("dat_dir")
-    if dat_dir:  # first: a dat_dir that cannot be made keeps the output
+    targets = {os.path.join(dat_dir, f"{label}.dat"): pts
+               for label, pts in dats.items()} if dat_dir else {}
+    # first: a target that cannot be written keeps every file as it was
+    for path in targets:
+        if os.path.isdir(path) or (os.path.exists(path)
+                                   and not os.access(path, os.W_OK)):
+            raise ConfigError(f"output.dat_dir: cannot write {path}")
+    if dat_dir:
         try:
             os.makedirs(dat_dir, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"output.dat_dir: {e}") from e
     _write(cfg["output"]["path"], lambda fh: fh.write(text))
-    if dat_dir:
-        for label, pts in dats.items():
-            _write(os.path.join(dat_dir, f"{label}.dat"), lambda fh: fh.write(
-                "".join(f"{n} {repr(float(e))}\n" for n, e in pts)))
+    for path, pts in targets.items():
+        _write(path, lambda fh: fh.write(
+            "".join(f"{n} {repr(float(e))}\n" for n, e in pts)))
 
 
 def _write(path, write) -> None:

@@ -7,9 +7,12 @@ samples f once at every distinct point of the (downward closed) set's grid,
 so the number of function evaluations is auditable, then gathers the node
 values of each chain of levels agreeing off axis 0 once.  The level set
 and those samples determine every coefficient, so a dump (save/load) holds
-just them and load rebuilds the rest.  Evaluation sums over level groups:
-levels that differ along one axis are merged exactly into one expansion on
-the finest of them by B-spline refinement.
+just them and load rebuilds the rest.  Evaluation sums a few boxes, as
+the combination technique writes a sparse-grid function as a sum of
+anisotropic full-grid ones: levels that differ along one axis are merged
+exactly into one expansion on the finest of them by B-spline refinement,
+and neighbouring such chains are lifted onto one box level and added
+while that costs no more coefficients.
 """
 
 from __future__ import annotations
@@ -98,26 +101,61 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
                           declared_budget=delta.budget(), samples=vals)
 
 
+def _shape(r: int, k: tuple) -> list:
+    """Shape of the coefficient array of a level-k expansion."""
+    return [hi - lo + 1 for lo, hi in (bspline.shift_bounds(r, ki)
+                                       for ki in k)]
+
+
+def _box_plan(r: int, axis: int, surplus) -> list:
+    """[(box, chain tops)]: the chains of surplus along axis, in sorted
+    order of their other entries, cut into runs of neighbours.  A run
+    grows to the componentwise max of its tops while that box holds no
+    more coefficients than the tops together."""
+    size = lambda k: math.prod(_shape(r, k))
+    plan, held = [], 0
+    for rest, m in sorted(chains(surplus, axis).items()):
+        top = rest[:axis] + (m,) + rest[axis:]
+        if plan:
+            box = tuple(map(max, plan[-1][0], top))
+            if size(box) <= held + size(top):
+                plan[-1] = (box, plan[-1][1] + [top])
+                held += size(top)
+                continue
+        plan.append((top, [top]))
+        held = size(top)
+    return plan
+
+
 def _level_groups(rec: Reconstruction):
     """Yield the reconstruction as a few expansions (k, s_min, coeffs),
-    one per level group, whose sum equals sum_k q_k on [0,1]^d exactly.
+    one per box of _box_plan, whose sum equals sum_k q_k on [0,1]^d
+    exactly.
 
-    A group is a chain of levels 0..K along one axis (grids.chains), the
-    axis leaving the fewest.  It is accumulated Horner-style from level 0
-    up to K, acc = R_k acc + c_{k+1}, with R_k the two-scale refinement
-    quasi_interp.refine_matrix, so each group is refined once and yields
-    the level-K expansion.  Groups are built one at a time as the caller
-    iterates.
+    The chains run along the axis leaving the fewest (grids.chains).  A
+    chain of levels 0..m is accumulated Horner-style from level 0 up,
+    acc = R_j acc + c_{j+1}, with R_j the two-scale refinement
+    quasi_interp.refine_matrix, into its top level's expansion; that is
+    lifted by R along every axis where the top is below the box and added
+    into the box's own accumulator, so the reconstruction's arrays are
+    never written.  Every level starts at the same shift, so the box
+    keeps s_min.  Boxes are built one at a time as the caller iterates.
     """
-    surplus = rec.surplus
+    r, surplus = rec.r, rec.surplus
     axis = min(range(rec.d), key=lambda a: len(chains(surplus, a)))
-    for rest, m in chains(surplus, axis).items():
-        lvl = [surplus[rest[:axis] + (j,) + rest[axis:]] for j in range(m + 1)]
-        acc = lvl[0].coeffs
-        for j in range(m):
-            acc = (_apply_along_axis(refine_matrix(rec.r, j), acc, axis)
-                   + lvl[j + 1].coeffs)
-        yield lvl[m].k, lvl[m].s_min, acc
+    for box, tops in _box_plan(r, axis, surplus):
+        acc = np.zeros(_shape(r, box))
+        for top in tops:
+            chain = [surplus[top[:axis] + (j,) + top[axis + 1:]].coeffs
+                     for j in range(top[axis] + 1)]
+            c = chain[0]
+            for j, cj in enumerate(chain[1:]):
+                c = _apply_along_axis(refine_matrix(r, j), c, axis) + cj
+            for i, (ki, Bi) in enumerate(zip(top, box)):
+                for j in range(ki, Bi):
+                    c = _apply_along_axis(refine_matrix(r, j), c, i)
+            acc += c
+        yield box, surplus[top].s_min, acc
 
 
 def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
@@ -137,7 +175,7 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
     if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
         raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros(X.shape[0])
-    # groups outside, slabs inside: one collapsed array alive at a time
+    # boxes outside, slabs inside: each box is built as it is summed
     for k, s_min, coeffs in _level_groups(rec):
         for start in range(0, X.shape[0], SLAB):
             sl = slice(start, start + SLAB)
@@ -146,8 +184,8 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
 
 
 def lattice_groups(rec: Reconstruction) -> list:
-    """The level groups of rec on integer knots (bspline._integer_knots),
-    built once for all the lattices of one error estimate."""
+    """The boxes of rec on integer knots (bspline._integer_knots), built
+    once for all the lattices of one error estimate."""
     return [bspline._integer_knots(rec.r, k, s_min, coeffs)
             for k, s_min, coeffs in _level_groups(rec)]
 

@@ -285,6 +285,26 @@ def test_unwritable_output_is_a_config_error(mixed_cfg, tmp_path, capsys,
     assert err.startswith("config error") and str(blocker) in err
 
 
+def test_unwritable_dat_target_writes_nothing(mixed_cfg, tmp_path, capsys):
+    # the .dat files used to be written after the table, so a directory in
+    # the way of sinprod.dat failed with the table and poly.dat written
+    from sgqi import cli
+
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier output\n")
+    dat_dir = tmp_path / "dats"
+    (dat_dir / "sinprod.dat").mkdir(parents=True)
+    assert cli.main(["recover", "-c", mixed_cfg,
+                     "--set", "sweep.budgets=4,10",
+                     "--set", "sweep.corpus=poly,sinprod",
+                     "--set", f"output.dat_dir={dat_dir}",
+                     "-o", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert [p.name for p in dat_dir.iterdir()] == ["sinprod.dat"]
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "sinprod.dat" in err
+
+
 def test_dump_grid_golden():
     res = run_cli("dump-grid",
                   "--set", "problem.family=fullgrid",

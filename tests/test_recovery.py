@@ -216,6 +216,66 @@ def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
     _close(recovery.evaluate_batch(rec, X), want, 1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_evaluation_leaves_reconstruction_unchanged(delta, r, seed):
+    # boxes are accumulated in place; the levels of a built chain share
+    # one array, so a write through any of them would show here
+    rng = np.random.default_rng(seed)
+    rec = recovery.build(_wave(rng, delta.d), delta, r)
+    before = {k: lvl.coeffs.tobytes() for k, lvl in rec.surplus.items()}
+    X = _probe_points(delta, rng)
+    axes = [np.linspace(0.0, 1.0, 5)] * delta.d
+
+    def values():
+        return (recovery.evaluate_batch(rec, X).tobytes(),
+                recovery.evaluate_lattice(rec, axes).tobytes())
+
+    first = values()
+    assert {k: lvl.coeffs.tobytes() for k, lvl in rec.surplus.items()} \
+        == before
+    assert values() == first
+
+
+MIXED_D2 = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=2.0, q=2.0,
+                                kind="mixed", a=(1.0, 1.5))
+MIXED_D3 = grids.SmoothnessSpec(d=3, r=3, p=2.0, theta=2.0, q=2.0,
+                                kind="mixed", a=(1.0, 1.5, 2.0))
+MIXED_D5 = grids.SmoothnessSpec(d=5, r=4, p=2.0, theta=2.0, q=2.0,
+                                kind="mixed",
+                                a=(1.0, 1.25, 1.5, 1.75, 2.0))
+
+
+@pytest.mark.parametrize("spec, n", [
+    (MIXED_D2, 100_000),
+    (MIXED_D3, 30_000),
+    (MIXED_D5, 10_000)], ids=["d2", "d3", "d5"])
+def test_box_plan_on_anisotropic_sets(spec, n):
+    make = lambda xi: grids.delta_mixed(xi, spec)
+    delta = make(grids.xi_for_budget(n, make))
+    rng = np.random.default_rng(n)
+    rec = recovery.build(_wave(rng, spec.d), delta, spec.r)
+    surplus = rec.surplus
+    axis = min(range(spec.d), key=lambda a: len(grids.chains(surplus, a)))
+    tops = [rest[:axis] + (m,) + rest[axis:] for rest, m in
+            sorted(grids.chains(surplus, axis).items())]
+    plan = recovery._box_plan(spec.r, axis, surplus)
+    # runs of neighbouring chains, each box the max of its tops
+    assert [t for _, members in plan for t in members] == tops
+    for box, members in plan:
+        assert box == tuple(max(t[i] for t in members)
+                            for i in range(spec.d))
+    groups = list(recovery._level_groups(rec))
+    assert [k for k, *_ in groups] == [box for box, _ in plan]
+    assert len(groups) < len(tops)
+    assert sum(c.size for *_, c in groups) \
+        <= sum(surplus[t].coeffs.size for t in tops)
+    X = np.vstack([rng.random((200, spec.d)), np.zeros((1, spec.d)),
+                   np.ones((1, spec.d))])
+    want = per_level_evaluate(rec, X, skip_tol=0.0)
+    _close(recovery.evaluate_batch(rec, X), want, 1e-12)
+
+
 def _rational(c):
     # + and / round the same in every lane, so a point's sample does not
     # depend on where it sits in f's input
