@@ -13,6 +13,12 @@ Conventions:
   * only this module derives the translation denominator from r,
   * the r = 1 box is right-continuous (value 1 on [-1/2, 1/2)) so point
     evaluation is single-valued at the jump.
+
+Expansions are evaluated on integer knots (_integer_knots), padded so
+that every spline nonzero on [0, 1] has a coefficient, and summed one
+axis at a time with the last axis innermost: eval_knots at scattered
+points, quasi_interp.contract over collocation tables on lattices, with
+the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -151,69 +157,84 @@ def _basis_values(r: int, t: np.ndarray) -> np.ndarray:
 
 
 def _integer_knots(r: int, k: tuple, s_min, coeffs: np.ndarray):
-    """(K, first left knot b per axis, coeffs) of the same expansion written
-    as sum_b c_b N_r(2^K x - b).  Even r: b = s - r/2 and K = k.  Odd r:
+    """(K, P): the same expansion written as sum_b c_b N_r(2^K x - b), with
+    P[i] = c_b at b = 1 - r + i per axis, for the 2^K + r left knots
+    1 - r .. 2^K of every spline nonzero somewhere on [0, 1], zero where
+    coeffs has no entry.  Even r: b = s - r/2 and K = k.  Odd r:
     M(2^k x - s/2) = 2^{1-r} sum_j C(r, j) N_r(2^{k+1} x - (s + j - r)) by
     the two-scale relation, so each axis is convolved once with the
-    binomial weights and lands on integer knots at K = k + 1."""
-    if r % 2 == 0:
-        return k, [s - r // 2 for s in s_min], coeffs
+    binomial weights and lands on integer knots at K = k + 1; the
+    convolution writes straight into the padded array."""
+    if r % 2 == 0:  # shift s is P index s + r/2 - 1, inside P
+        P = np.zeros([(1 << ki) + r for ki in k])
+        P[tuple(slice(s + r // 2 - 1, s + r // 2 - 1 + n)
+                for s, n in zip(s_min, coeffs.shape))] = coeffs
+        return k, P
+    K = tuple(ki + 1 for ki in k)
     w = [math.comb(r, j) / (1 << (r - 1)) for j in range(r + 1)]
-    for axis in range(coeffs.ndim):
-        c = np.moveaxis(coeffs, axis, 0)
-        out = np.zeros((len(c) + r,) + c.shape[1:])
-        for j, wj in enumerate(w):
-            out[j:j + len(c)] += wj * c
-        coeffs = np.moveaxis(out, 0, axis)
-    return tuple(ki + 1 for ki in k), [s - r for s in s_min], coeffs
+    for axis, (Ki, s) in enumerate(zip(K, s_min)):
+        P = np.zeros(coeffs.shape[:axis] + ((1 << Ki) + r,)
+                     + coeffs.shape[axis + 1:])
+        out, c = np.moveaxis(P, axis, 0), np.moveaxis(coeffs, axis, 0)
+        for j, wj in enumerate(w):  # c[i] feeds out[s - 1 + j + i]
+            a, b = max(s - 1 + j, 0), min(s - 1 + j + len(c), len(out))
+            if a < b:
+                out[a:b] += wj * c[a - s + 1 - j:b - s + 1 - j]
+        coeffs = P
+    return K, coeffs
+
+
+def _candidates(r: int, Ki: int, x: np.ndarray):
+    """Per coordinate x in [0, 1], the index floor(2^Ki x) into a padded
+    axis of _integer_knots, where its r nonzero splines start, and their
+    values, candidate j along the first axis."""
+    u = x * float(1 << Ki)
+    fl = np.floor(u)
+    return fl.astype(np.intp), _basis_values(r, u - fl)
 
 
 def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
     """Evaluate a single-level tensor spline expansion at the (npts, d)
-    points X, or on a list of d coordinate arrays that broadcast (a lattice
-    passes axis i extending along dimension i), in their broadcast shape.
+    points X in [0, 1]^d.
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
     dimension) of shift_bounds(r, k).  Shifts outside the coefficient
-    array contribute nothing.  On integer knots (_integer_knots) r splines
-    per axis are nonzero at x, with left knots floor(2^K x) - r + 1 + j.
+    array contribute nothing.
     """
     _check_order(r)
     return eval_knots(r, *_integer_knots(r, _as_level(k), s_min, coeffs), X)
 
 
-def eval_knots(r: int, K: tuple, b_min, coeffs: np.ndarray, X):
-    """eval_expansion of sum_b c_b N_r(2^K x - b) from _integer_knots."""
-    d = len(K)
-    # per dimension, entry j of vals and offs holds the j-th candidate of
-    # every coordinate: its spline value and its offset into the flat coeffs
-    offs, vals = [], []
-    for i, x in enumerate(X.T if isinstance(X, np.ndarray) else X):
-        u = x * float(1 << K[i])
-        fl = np.floor(u)
-        B = _basis_values(r, u - fl)
-        col = (np.arange(r).reshape((r,) + (1,) * u.ndim)
-               + (fl.astype(np.int64) + (1 - r - b_min[i])))
-        B *= (col >= 0) & (col < coeffs.shape[i])  # B is finite, t in [0, 1)
-        np.clip(col, 0, coeffs.shape[i] - 1, out=col)
-        col *= math.prod(coeffs.shape[i + 1:])
+def eval_knots(r: int, K: tuple, P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Value of the padded integer-knot expansion (K, P) of _integer_knots
+    at the scattered (npts, d) points X in [0, 1]^d, summed in nested
+    order, last axis innermost: v = sum_{c_0} B_0[c_0] (sum_{c_1} B_1[c_1]
+    (... P[c])), each sum starting at 0.0 and adding its r candidates in
+    turn.  quasi_interp.contract sums a lattice in this order, so a
+    lattice point gets the same bits either way.  The padding puts every
+    candidate inside P: a point reads P at one flat base index plus a
+    constant offset per candidate combination.
+    """
+    d, flat = len(K), P.reshape(-1)
+    strides = [math.prod(P.shape[i + 1:]) for i in range(d)]
+    base, vals = np.zeros(len(X), np.intp), []
+    for Ki, x, stride in zip(K, X.T, strides):
+        first, B = _candidates(r, Ki, x)
+        first *= stride
+        base += first
         vals.append(B)
-        offs.append(col)
-    shape = np.broadcast_shapes(*(v.shape[1:] for v in vals))
-    flat = coeffs.reshape(-1)
-    out, term = np.zeros(shape), np.empty(shape)
-    # running products of weights and sums of offsets over axes 0..i; only
-    # the axes from the combination's last nonzero index on changed
-    w = [None] + [np.empty(shape) for _ in range(1, d)]
-    idx = [None] + [np.empty(shape, np.int64) for _ in range(1, d)]
+    # acc[i] is the partial sum over axes i.. for the current c_0..c_i-1
+    acc, term = [np.zeros(len(X)) for _ in K], np.empty(len(X))
     for combo in np.ndindex(*([r] * d)):
-        w[0], idx[0] = vals[0][combo[0]], offs[0][combo[0]]
-        first = max([1, *(i for i, c in enumerate(combo) if c)])
-        for i in range(first, d):
-            np.multiply(w[i - 1], vals[i][combo[i]], out=w[i])
-            np.add(idx[i - 1], offs[i][combo[i]], out=idx[i])
-        # offsets are clipped already; the default mode buffers the take
-        np.take(flat, idx[-1], out=term, mode="clip")
-        term *= w[-1]
-        out += term
-    return out
+        off = sum(c * stride for c, stride in zip(combo, strides))
+        # base + off stays inside flat; clip mode skips a bounds buffer
+        np.take(flat[off:], base, out=term, mode="clip")
+        term *= vals[-1][combo[-1]]
+        acc[-1] += term
+        i = d - 1
+        while i and combo[i] == r - 1:  # the sum over axis i is complete
+            np.multiply(acc[i], vals[i - 1][combo[i - 1]], out=term)
+            acc[i - 1] += term
+            acc[i].fill(0.0)
+            i -= 1
+    return acc[0]

@@ -479,9 +479,10 @@ class SampleGrid:
         return np.stack(np.unravel_index(self.ids, dims), axis=1)
 
     def coords(self) -> np.ndarray:
-        """(npts, d) point coordinates (exact: dyadic rationals)."""
-        return np.ldexp(self.lattice().astype(float),
-                        -np.array(self.K, dtype=np.int64))
+        """(npts, d) point coordinates (exact: dyadic rationals, each an
+        integer times a power of two)."""
+        return self.lattice() * np.array([math.ldexp(1.0, -Ki)
+                                          for Ki in self.K])
 
 
 def chains(levels, axis: int = 0) -> dict:

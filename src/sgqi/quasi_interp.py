@@ -36,8 +36,8 @@ from . import bspline
 
 __all__ = [
     "SurplusLevel", "Table", "q_level", "apply_Q", "sample_matrix",
-    "surplus_matrix", "refine_matrix", "vectorize_handle", "contract",
-    "surplus_level",
+    "surplus_matrix", "refine_matrix", "collocation_matrix",
+    "vectorize_handle", "contract", "surplus_level",
 ]
 
 # order -> (common denominator D, {j: D lam(j)}) of the finite even mask
@@ -122,9 +122,9 @@ def _refine_rows(r: int, k: int, rows, cols, vals) -> list:
 
 @dataclass(eq=False)
 class Table:
-    """A univariate table in CSR form, indices sorted, no stored zeros,
-    index arrays int32; scipy.sparse wraps the same arrays on the first
-    product with a tensor."""
+    """A univariate table in CSR form, indices sorted, index arrays int32;
+    scipy.sparse wraps the same arrays on the first product with a tensor.
+    Only collocation tables store zeros."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -221,6 +221,20 @@ def refine_matrix(r: int, k: int) -> Table:
     s = np.arange(hi - lo + 1)
     return _table(_refine_rows(r, k, s, s, np.ones(len(s))),
                   (t_hi - t_lo + 1, len(s)))
+
+
+def collocation_matrix(r: int, K: int, x: np.ndarray):
+    """(table, cols): cols are the sorted indices, into an axis of 2^K + r
+    padded coefficients of bspline._integer_knots, of the r integer-knot
+    splines N_r(2^K x - b) nonzero at each coordinate of x in [0, 1]; the
+    table holds their values, one row per coordinate, one column per entry
+    of cols.  Every row keeps its r entries, zeros included, so contract
+    over these tables sums a lattice in the order of bspline.eval_knots."""
+    first, B = bspline._candidates(r, K, x)
+    cols, inv = np.unique(first[:, None] + np.arange(r), return_inverse=True)
+    return Table(np.arange(0, r * len(x) + 1, r, dtype=np.int32),
+                 inv.reshape(-1).astype(np.int32), B.T.reshape(-1),
+                 (len(x), len(cols))), cols
 
 
 def _one_per_row(y, n: int) -> np.ndarray:
@@ -340,6 +354,8 @@ def apply_Q(f, r: int, k, x) -> float | np.ndarray:
     X = np.atleast_2d(X)
     if X.shape[1] != d:
         raise ValueError("point dimension mismatch")
+    if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
+        raise ValueError("evaluation point outside domain or not finite")
     T = _node_tensor(vectorize_handle(f, d), k)
     lvl = surplus_level(T, r, k, sample_matrix)
     vals = bspline.eval_expansion(r, k, lvl.s_min, lvl.coeffs, X)

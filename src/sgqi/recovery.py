@@ -26,7 +26,8 @@ import numpy as np
 from . import bspline
 from .grids import LevelSet, SampleGrid, chains, sample_grid
 from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
-                           refine_matrix, surplus_matrix, vectorize_handle)
+                           collocation_matrix, contract, refine_matrix,
+                           surplus_matrix, vectorize_handle)
 
 SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
 
@@ -170,7 +171,7 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
         return np.zeros(0)
     if X.ndim == 1:
         X = X.reshape(-1, 1) if rec.d == 1 else X.reshape(1, -1)
-    if X.shape[1] != rec.d:
+    if X.ndim != 2 or X.shape[1] != rec.d:
         raise ValueError("point dimension mismatch")
     if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
         raise ValueError("evaluation point outside domain or not finite")
@@ -184,24 +185,32 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
 
 
 def lattice_groups(rec: Reconstruction) -> list:
-    """The boxes of rec on integer knots (bspline._integer_knots), built
-    once for all the lattices of one error estimate."""
+    """The boxes of rec as padded integer-knot expansions (K, P) of
+    bspline._integer_knots, built once for all the lattices of one error
+    estimate."""
     return [bspline._integer_knots(rec.r, k, s_min, coeffs)
             for k, s_min, coeffs in _level_groups(rec)]
 
 
 def evaluate_lattice(rec: Reconstruction, axes, groups=None) -> np.ndarray:
-    """Reconstruction values on the tensor lattice of d coordinate vectors,
-    bitwise equal to evaluate_batch at its points in C order.  groups is
+    """Reconstruction values on the tensor lattice of d coordinate vectors:
+    one contract per box, of the coefficients some lattice point reaches,
+    over the axes' tables from quasi_interp.collocation_matrix.  That sums
+    in the nested order of bspline.eval_knots, so the values are bitwise
+    evaluate_batch's at the lattice points in C order.  groups is
     lattice_groups(rec), built here when not given."""
-    coords = np.ix_(*(np.asarray(ax, dtype=float) for ax in axes))
-    if len(coords) != rec.d:
+    axes = [np.asarray(ax, dtype=float) for ax in axes]
+    if len(axes) != rec.d or any(ax.ndim != 1 for ax in axes):
         raise ValueError("point dimension mismatch")
-    if not all(((x >= 0.0) & (x <= 1.0)).all() for x in coords):
+    if not all(((x >= 0.0) & (x <= 1.0)).all() for x in axes):
         raise ValueError("evaluation point outside domain or not finite")
-    out = np.zeros([x.size for x in coords])
-    for K, b_min, coeffs in lattice_groups(rec) if groups is None else groups:
-        out += bspline.eval_knots(rec.r, K, b_min, coeffs, coords)
+    out = np.zeros([len(ax) for ax in axes])
+    if out.size == 0:
+        return out
+    for K, P in lattice_groups(rec) if groups is None else groups:
+        mats, cols = zip(*(collocation_matrix(rec.r, Ki, ax)
+                           for Ki, ax in zip(K, axes)))
+        out += contract(P[np.ix_(*cols)], mats)
     return out
 
 

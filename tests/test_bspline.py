@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgqi import bspline
+from sgqi import bspline, quasi_interp
 from oracles import (centered_expansion, cox_de_boor, eval_dilated,
                      integral_dilated_1d, integral_on_cube, shift_ranges)
 
@@ -158,6 +158,18 @@ def test_eval_expansion_matches_direct_sum(r):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _random_box(r, k, crop, rng):
+    """(s_min, coeffs) of a random expansion on the shift bounds of level
+    k, or on a random cut of them when crop is set."""
+    s_min, cut = [], []
+    for lo, hi in (bspline.shift_bounds(r, ki) for ki in k):
+        a = int(rng.integers(0, hi - lo + 1)) if crop else 0
+        b = int(rng.integers(a + 1, hi - lo + 2)) if crop else hi - lo + 1
+        s_min.append(lo + a)
+        cut.append(b - a)
+    return s_min, rng.standard_normal(cut)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.booleans(),
        st.integers(0, 2**32 - 1), st.data())
@@ -168,13 +180,7 @@ def test_eval_expansion_matches_centered_kernel(r, d, crop, seed, data):
     k = tuple(data.draw(st.lists(st.integers(0, 4 if d <= 2 else 2),
                                  min_size=d, max_size=d)))
     rng = np.random.default_rng(seed)
-    s_min, cut = [], []
-    for lo, hi in (bspline.shift_bounds(r, ki) for ki in k):
-        a = int(rng.integers(0, hi - lo + 1)) if crop else 0
-        b = int(rng.integers(a + 1, hi - lo + 2)) if crop else hi - lo + 1
-        s_min.append(lo + a)
-        cut.append(b - a)
-    coeffs = rng.standard_normal(cut)
+    s_min, coeffs = _random_box(r, k, crop, rng)
     top = max(k) + 1
     knots = np.arange((1 << top) + 1) / (1 << top)
     X = np.vstack([rng.random((30, d)), rng.choice(knots, size=(30, d)),
@@ -184,6 +190,35 @@ def test_eval_expansion_matches_centered_kernel(r, d, crop, seed, data):
     got = bspline.eval_expansion(r, k, s_min, coeffs, X)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.data())
+def test_scattered_kernel_is_bitwise_lattice_contract(r, d, seed, data):
+    # a few expansions, cut or whole, summed at the points of a lattice
+    # whose axes hold 0, 1, knots and random points: the scattered kernel
+    # and one contract per expansion over collocation tables give the
+    # same bits
+    rng = np.random.default_rng(seed)
+    axes = []
+    for _ in range(d):
+        knots = np.arange(17) / 16
+        axes.append(np.concatenate([[0.0, 1.0], rng.choice(knots, 3),
+                                    rng.random(data.draw(st.integers(0, 4)))]))
+    X = np.stack([g.reshape(-1) for g in
+                  np.meshgrid(*axes, indexing="ij")], axis=1)
+    scattered, lattice = np.zeros(len(X)), np.zeros([len(a) for a in axes])
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = tuple(data.draw(st.lists(st.integers(0, 3 if d <= 2 else 2),
+                                     min_size=d, max_size=d)))
+        s_min, coeffs = _random_box(r, k, data.draw(st.booleans()), rng)
+        scattered += bspline.eval_expansion(r, k, s_min, coeffs, X)
+        K, P = bspline._integer_knots(r, k, s_min, coeffs)
+        mats, cols = zip(*(quasi_interp.collocation_matrix(r, Ki, ax)
+                           for Ki, ax in zip(K, axes)))
+        lattice += quasi_interp.contract(P[np.ix_(*cols)], mats)
+    assert lattice.reshape(-1).tobytes() == scattered.tobytes()
 
 
 def test_order_out_of_range():

@@ -397,6 +397,9 @@ def test_point_identity_matches_oracles(delta, r):
     assert [tuple(Fraction(c, 1 << Ki) for c, Ki in zip(row, sg.K))
             for row in sg.lattice().tolist()] == pts
     coords = sg.coords()
+    # the multiply by powers of two is bitwise the former ldexp
+    old = np.ldexp(sg.lattice().astype(float), -np.array(sg.K, np.int64))
+    assert coords.dtype == old.dtype and coords.tobytes() == old.tobytes()
     for k in delta.levels:
         nodes = [[float(v) for v in p] for p in level_lattice(k)]
         assert np.array_equal(coords[sg.positions(k)], np.array(nodes))

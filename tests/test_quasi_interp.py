@@ -274,6 +274,9 @@ def test_apply_Q_reproduces_quadratic():
     X = np.linspace(0.0, 1.0, 33).reshape(-1, 1)
     got = qi.apply_Q(lambda x: x * x, 3, (2,), X)
     np.testing.assert_allclose(got, X[:, 0] ** 2, atol=1e-12)
+    for bad in (1.5, -0.25, np.nan):
+        with pytest.raises(ValueError, match="outside domain"):
+            qi.apply_Q(lambda x: x * x, 3, (2,), [[bad]])
 
 
 def test_matrix_shapes():

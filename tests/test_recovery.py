@@ -114,14 +114,19 @@ def test_input_validation():
     rec = recovery.build(smooth2, box_set((1, 1)), 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         recovery.evaluate_batch(rec, np.zeros((4, 3)))
+    for shape in [(5, 2, 1), (2, 2, 2)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            recovery.evaluate_batch(rec, np.full(shape, 0.5))
     with pytest.raises(ValueError, match="outside domain"):
         recovery.evaluate_batch(rec, np.array([[0.5, 1.5]]))
     with pytest.raises(ValueError, match="outside domain"):
         recovery.evaluate_batch(rec, np.array([[-0.1, 0.5]]))
     with pytest.raises(ValueError, match="outside domain"):
         recovery.evaluate_lattice(rec, [[0.5], [1.5]])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        recovery.evaluate_lattice(rec, [[0.5]])
+    for axes in ([[0.5]], [[[0.5]], [0.5]]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            recovery.evaluate_lattice(rec, axes)
+    assert recovery.evaluate_lattice(rec, [[], [0.5]]).shape == (0, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -214,6 +219,21 @@ def test_grouped_evaluation_matches_per_level_kernel(delta, r, seed):
     X = _probe_points(delta, rng)
     want = per_level_evaluate(rec, X, skip_tol=0.0)
     _close(recovery.evaluate_batch(rec, X), want, 1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_slabs_are_evaluated_independently(delta, r, seed):
+    # one point past a slab: the batch is bitwise its two slabs
+    rng = np.random.default_rng(seed)
+    rec = _random_reconstruction(delta, r, rng)
+    probes = _probe_points(delta, rng)
+    X = np.vstack([probes, rng.random((recovery.SLAB + 1 - len(probes),
+                                       delta.d))])
+    parts = [recovery.evaluate_batch(rec, X[:recovery.SLAB]),
+             recovery.evaluate_batch(rec, X[recovery.SLAB:])]
+    assert recovery.evaluate_batch(rec, X).tobytes() == \
+        np.concatenate(parts).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
