@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from . import recovery
+from . import bspline, recovery
 from .grids import SmoothnessSpec
 from .quasi_interp import vectorize_handle
 
@@ -46,7 +46,7 @@ class RateFit:
 def _lattice_axes(rec, resolution, offset):
     d = rec.d
     if resolution is None:
-        kmax = rec.max_level()
+        kmax = rec.delta.max_level()
         counts = [(1 << (kmax[i] + 3)) + 1 for i in range(d)]
     elif np.isscalar(resolution):
         counts = [int(resolution)] * d
@@ -71,9 +71,9 @@ def _lattice_axes(rec, resolution, offset):
 
 
 def _tiles(shape):
-    """Sub-boxes of at most recovery.SLAB points that cover the lattice,
+    """Sub-boxes of at most bspline.SLAB points that cover the lattice,
     their edges filled from the last axis backwards, whatever its shape."""
-    steps, room = [], recovery.SLAB
+    steps, room = [], bspline.SLAB
     for n in reversed(shape):
         steps.insert(0, max(1, min(n, room)))
         room //= steps[0]
@@ -235,7 +235,7 @@ def _kink_handle(lams):
     lams = np.array(lams)
 
     def h(X):
-        return np.prod(np.abs(X[:, :len(lams)] - 0.5) ** lams, axis=1)
+        return reduce(np.multiply, (np.abs(X[:, :len(lams)] - 0.5) ** lams).T)
 
     return h
 
@@ -250,14 +250,14 @@ def corpus(d: int, r: int, spec: SmoothnessSpec):
     funcs = [
         TestFunction(
             label="poly",
-            handle=lambda X, deg=deg: np.prod(X ** deg, axis=1),
+            handle=lambda X, deg=deg: reduce(np.multiply, (X ** deg).T),
             exact_integral=(1.0 / r) ** d,
             membership=f"coordinate degree {deg} polynomial, "
                        "reproduced exactly by the recovery operator",
         ),
         TestFunction(
             label="sinprod",
-            handle=lambda X: np.prod(np.sin(np.pi * X), axis=1),
+            handle=lambda X: reduce(np.multiply, np.sin(np.pi * X).T),
             exact_integral=(2.0 / math.pi) ** d,
             membership="analytic tensor product, in every class considered",
         ),

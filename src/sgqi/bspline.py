@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 ORDERS = (1, 2, 3, 4)
+SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
 
 
 def _check_order(r: int) -> None:
@@ -199,10 +200,15 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
     dimension) of shift_bounds(r, k).  Shifts outside the coefficient
-    array contribute nothing.
+    array contribute nothing.  Put on integer knots once, the expansion is
+    summed by eval_knots in slabs of SLAB points, bounding its temporaries.
     """
     _check_order(r)
-    return eval_knots(r, *_integer_knots(r, _as_level(k), s_min, coeffs), X)
+    K, P = _integer_knots(r, _as_level(k), s_min, coeffs)
+    out = np.empty(len(X))
+    for i in range(0, len(X), SLAB):
+        out[i:i + SLAB] = eval_knots(r, K, P, X[i:i + SLAB])
+    return out
 
 
 def eval_knots(r: int, K: tuple, P: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -185,28 +185,37 @@ def _corpus_selection(cfg, spec):
 
 
 def _error_kwargs(cfg, spec):
+    """discrete_lq_error's keywords from [sweep], checked here so that a bad
+    setting is a config error before anything is built."""
     sw = cfg["sweep"]
-    q_raw = sw.get("lq", "") or str(spec.q)
-    q_norm = math.inf if q_raw.strip() in ("inf", "Inf") else \
-        _as_float(q_raw, "sweep.lq")
-    res = sw["resolution"]
-    if res.strip() == "auto":
-        resolution = None
-    else:
+    q_norm = _as_float(sw.get("lq", "") or str(spec.q), "sweep.lq")
+    if not q_norm > 0:
+        raise ConfigError(f"sweep.lq must be positive: {q_norm!r}")
+    res = sw["resolution"].strip()
+    resolution = None
+    if res != "auto":
         vals = [_as_int(tok, "sweep.resolution") for tok in res.split(",")
                 if tok.strip()]
+        if len(vals) not in (1, spec.d) or min(vals) < 2:
+            raise ConfigError(f"sweep.resolution: {res!r} is not 1 or "
+                              f"{spec.d} integers of at least 2")
         resolution = vals[0] if len(vals) == 1 else tuple(vals)
     method = sw["method"].strip()
+    if method not in ("auto", "lattice", "halton", "mc"):
+        raise ConfigError(f"unknown sweep.method {method!r}")
     method = None if method == "auto" else method
     points = sw.get("points")
     points = None if points in (None, "", "auto") else \
         _as_int(points, "sweep.points")
     if points is not None and points < 1:
         raise ConfigError("sweep.points must be at least 1")
-    offset = sw.get("offset", "false").strip().lower() in ("1", "true", "yes")
+    offset = sw["offset"].strip().lower()
+    if offset not in ("true", "false", "yes", "no", "1", "0"):
+        raise ConfigError(f"sweep.offset is not true or false: {offset!r}")
     seed = _as_int(sw.get("seed", "7"), "sweep.seed")
-    return dict(q_norm=q_norm, resolution=resolution, offset=offset,
-                method=method, points=points, seed=seed)
+    return dict(q_norm=q_norm, resolution=resolution, method=method,
+                offset=offset in ("true", "yes", "1"), points=points,
+                seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +242,9 @@ def _sweep_command(cfg, integrate: bool):
     nu = grids.nu_exponent(spec, family, integration=integrate)
     predicted = -nu
     h = _config_hash(cfg)
+    ekw = _error_kwargs(cfg, spec)
     sweep = _budget_sweep(cfg, make_delta)
     funcs = _corpus_selection(cfg, spec)
-    ekw = _error_kwargs(cfg, spec)
     rows = []
     dats = {}
     rules = {}
@@ -314,7 +323,10 @@ def cmd_dump_grid(cfg):
         d = _as_int(_need(cfg, "problem", "d"), "problem.d")
         lam = _as_float(prob.get("lam", "1"), "problem.lam")
         xi = _finite_xi(_need(cfg, "sweep", "xi"))
-        delta = grids.comparison_sets(xi, lam, family, d)
+        try:
+            delta = grids.comparison_sets(xi, lam, family, d)
+        except ValueError as e:
+            raise ConfigError(f"problem.d or problem.lam: {e}")
     else:
         spec, family, make_delta = _experiment(cfg)
         delta = make_delta(_single_xi(cfg, make_delta))

@@ -29,8 +29,6 @@ from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
                            collocation_matrix, contract, refine_matrix,
                            surplus_matrix, vectorize_handle)
 
-SLAB = 1 << 16  # points per evaluation slab, and per lattice estimator tile
-
 
 @dataclass
 class Reconstruction:
@@ -45,9 +43,6 @@ class Reconstruction:
     sample_budget: int
     declared_budget: int
     samples: np.ndarray | None = None
-
-    def max_level(self):
-        return self.delta.max_level()
 
 
 def build(f, delta: LevelSet, r: int) -> Reconstruction:
@@ -69,11 +64,11 @@ def build_from_samples(values, delta: LevelSet, r: int) -> Reconstruction:
 
 
 def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
-    """Per axis-0 chain, the level-(m, rest) nodes are contracted off axis 0
-    once, then by the stacked axis-0 tables of levels (0..m, rest) in one
-    product; level j's coefficients are its row block.  As contract
-    applies axis 0 last and a table treats each column alone, every level
-    is bitwise q_level's."""
+    """Per axis-0 chain, one contract of the level-(m, rest) nodes: off
+    axis 0 by the surplus tables of rest, then along it by the stacked
+    tables of levels (0..m, rest); level j's coefficients are its row
+    block.  As contract applies axis 0 last and a table treats each
+    column alone, every level is bitwise q_level's."""
     delta = grid.delta
     vals = np.array(values, dtype=float)  # owned, so it can be frozen
     if vals.shape != (grid.distinct_points,):
@@ -88,10 +83,8 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     for rest, m in chains(delta.levels).items():
         top = (m,) + rest
         T = vals[grid.positions(top)].reshape([(1 << ki) + 1 for ki in top])
-        for axis in range(delta.d - 1, 0, -1):
-            T = _apply_along_axis(surplus_matrix(r, top[axis])[0], T, axis)
         W, first = _chain_matrix(r, m)
-        T = _apply_along_axis(W, T, 0)
+        T = contract(T, [W] + [surplus_matrix(r, ki)[0] for ki in rest])
         for j in range(m + 1):
             built[(j,) + rest] = SurplusLevel(
                 k=(j,) + rest, s_min=(lo,) * delta.d,
@@ -108,15 +101,15 @@ def _shape(r: int, k: tuple) -> list:
                                        for ki in k)]
 
 
-def _box_plan(r: int, axis: int, surplus) -> list:
-    """[(box, chain tops)]: the chains of surplus along axis, in sorted
-    order of their other entries, cut into runs of neighbours.  A run
-    grows to the componentwise max of its tops while that box holds no
-    more coefficients than the tops together."""
+def _box_plan(r: int, surplus) -> list:
+    """[(box, chain tops)]: the axis-0 chains of surplus, in sorted order
+    of their other entries, cut into runs of neighbours.  A run grows to
+    the componentwise max of its tops while that box holds no more
+    coefficients than the tops together."""
     size = lambda k: math.prod(_shape(r, k))
     plan, held = [], 0
-    for rest, m in sorted(chains(surplus, axis).items()):
-        top = rest[:axis] + (m,) + rest[axis:]
+    for rest, m in sorted(chains(surplus).items()):
+        top = (m,) + rest
         if plan:
             box = tuple(map(max, plan[-1][0], top))
             if size(box) <= held + size(top):
@@ -133,27 +126,26 @@ def _level_groups(rec: Reconstruction):
     one per box of _box_plan, whose sum equals sum_k q_k on [0,1]^d
     exactly.
 
-    The chains run along the axis leaving the fewest (grids.chains).  A
-    chain of levels 0..m is accumulated Horner-style from level 0 up,
-    acc = R_j acc + c_{j+1}, with R_j the two-scale refinement
-    quasi_interp.refine_matrix, into its top level's expansion; that is
-    lifted by R along every axis where the top is below the box and added
-    into the box's own accumulator, so the reconstruction's arrays are
-    never written.  Every level starts at the same shift, so the box
-    keeps s_min.  Boxes are built one at a time as the caller iterates.
+    The chains run along axis 0 (grids.chains).  A chain of levels 0..m
+    is refined Horner-style from level 0 up to the box's axis-0 level,
+    c = R_j c, plus c_{j+1} while j < m, with R_j the two-scale
+    refinement quasi_interp.refine_matrix; then lifted by R along every
+    other axis where the top is below the box and added into the box's
+    accumulator, so the reconstruction's arrays are never written.  Every
+    level starts at the same shift, so the box keeps s_min.  Boxes are
+    built one at a time as the caller iterates.
     """
     r, surplus = rec.r, rec.surplus
-    axis = min(range(rec.d), key=lambda a: len(chains(surplus, a)))
-    for box, tops in _box_plan(r, axis, surplus):
+    for box, tops in _box_plan(r, surplus):
         acc = np.zeros(_shape(r, box))
         for top in tops:
-            chain = [surplus[top[:axis] + (j,) + top[axis + 1:]].coeffs
-                     for j in range(top[axis] + 1)]
-            c = chain[0]
-            for j, cj in enumerate(chain[1:]):
-                c = _apply_along_axis(refine_matrix(r, j), c, axis) + cj
-            for i, (ki, Bi) in enumerate(zip(top, box)):
-                for j in range(ki, Bi):
+            c = surplus[(0,) + top[1:]].coeffs
+            for j in range(box[0]):
+                c = _apply_along_axis(refine_matrix(r, j), c, 0)
+                if j < top[0]:
+                    c = c + surplus[(j + 1,) + top[1:]].coeffs
+            for i in range(1, rec.d):
+                for j in range(top[i], box[i]):
                     c = _apply_along_axis(refine_matrix(r, j), c, i)
             acc += c
         yield box, surplus[top].s_min, acc
@@ -176,11 +168,8 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
     if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
         raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros(X.shape[0])
-    # boxes outside, slabs inside: each box is built as it is summed
-    for k, s_min, coeffs in _level_groups(rec):
-        for start in range(0, X.shape[0], SLAB):
-            sl = slice(start, start + SLAB)
-            out[sl] += bspline.eval_expansion(rec.r, k, s_min, coeffs, X[sl])
+    for k, s_min, coeffs in _level_groups(rec):  # built as it is summed
+        out += bspline.eval_expansion(rec.r, k, s_min, coeffs, X)
     return out
 
 

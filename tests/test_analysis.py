@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sgqi import analysis, grids, recovery
+from sgqi import analysis, bspline, grids, recovery
 from oracles import besov_quasinorm_B3
 
 
@@ -133,7 +133,7 @@ def test_lattice_tiles_partition_the_lattice(monkeypatch, offset):
                                         offset=offset)
              for q in (1.0, 2.0, math.inf)]
     # 7-point tiles cut the last axis unevenly, the others point by point
-    monkeypatch.setattr(recovery, "SLAB", 7)
+    monkeypatch.setattr(bspline, "SLAB", 7)
     tiled = [analysis.discrete_lq_error(f, rec, q, resolution=res,
                                         offset=offset)
              for q in (1.0, 2.0, math.inf)]
@@ -146,7 +146,7 @@ def test_lattice_tiles_partition_the_lattice(monkeypatch, offset):
 def test_lattice_tiles_stay_bounded(shape):
     hits = np.zeros(shape, dtype=np.int8)
     for box in analysis._tiles(shape):
-        assert hits[box].size <= recovery.SLAB
+        assert hits[box].size <= bspline.SLAB
         hits[box] += 1
     assert (hits == 1).all()
 

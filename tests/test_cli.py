@@ -379,6 +379,53 @@ def test_exit_2_points_below_one(mixed_cfg):
     assert "sweep.points" in res.stderr
 
 
+@pytest.mark.parametrize("setting", [
+    "sweep.lq=0", "sweep.lq=nan", "sweep.method=bogus", "sweep.resolution=1",
+    "sweep.resolution=0,5", "sweep.resolution=3,3,3", "sweep.offset=maybe"])
+@pytest.mark.parametrize("command", ["recover", "integrate"])
+def test_exit_2_bad_error_settings(mixed_cfg, capsys, monkeypatch, command,
+                                   setting):
+    # these exited 3 after the first build, and offset=maybe read as false
+    from sgqi import cli, cubature, recovery
+
+    def unexpected(*args):
+        raise AssertionError("built before the settings were checked")
+
+    monkeypatch.setattr(recovery, "build", unexpected)
+    monkeypatch.setattr(cubature, "assemble_weights", unexpected)
+    assert cli.main([command, "-c", mixed_cfg, "--set", setting]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and setting.split("=")[0] in out.err
+
+
+@pytest.mark.parametrize("raw, want", [
+    ("true", True), ("Yes", True), ("1", True), (" false", False),
+    ("NO", False), ("0", False)])
+def test_offset_flags(raw, want):
+    from sgqi import cli, grids
+
+    spec = grids.SmoothnessSpec(d=2, r=2, p=2.0, theta=1.0, q=2.0,
+                                kind="mixed", a=(1.0, 2.0))
+    cfg = {"sweep": dict(cli._DEFAULTS["sweep"], offset=raw)}
+    assert cli._error_kwargs(cfg, spec)["offset"] is want
+
+
+@pytest.mark.parametrize("setting", ["problem.d=0", "problem.d=-2",
+                                     "problem.lam=0", "problem.lam=nan"])
+@pytest.mark.parametrize("family", ["fullgrid", "smolyak"])
+def test_exit_2_bad_comparison_set(capsys, family, setting):
+    # d = 0 printed a blank line, d < 0 raised IndexError, lam = 0 exited 3
+    from sgqi import cli
+
+    assert cli.main(["dump-grid", f"--set=problem.family={family}",
+                     "--set=problem.d=2", "--set=sweep.xi=2",
+                     f"--set={setting}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and setting.split("=")[0] in out.err
+
+
 def test_exit_3_budget_below_minimal(mixed_cfg):
     res = run_cli("gridinfo", "-c", mixed_cfg, "--set", "sweep.budgets=1")
     assert res.returncode == 3

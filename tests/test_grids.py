@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgqi import cubature, grids
@@ -270,8 +270,12 @@ def test_comparison_sets():
     sm = grids.comparison_sets(2.0, 1.0, "smolyak", 2)
     assert sorted(sm.levels) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1),
                                  (2, 0)]
-    with pytest.raises(ValueError, match="positive"):
-        grids.comparison_sets(2.0, 0.0, "fullgrid", 2)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            grids.comparison_sets(2.0, lam, "fullgrid", 2)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="dimension"):
+            grids.comparison_sets(2.0, 1.0, "smolyak", d)
     with pytest.raises(ValueError, match="comparison kind"):
         grids.comparison_sets(2.0, 1.0, "box", 2)
 
@@ -408,6 +412,46 @@ def test_point_identity_matches_oracles(delta, r):
                               lambda k: cubature._level_weights(r, k))
     assert keys == pts
     assert np.array_equal(rule.weights, want)
+
+
+@st.composite
+def family_sets(draw):
+    """(make, n): a mixed (class A or B), hybrid (A or B) or energy (sharp
+    or perturbed) level-set family with d = 2-5, and a budget."""
+    d, r = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    kw = dict(d=d, r=r, p=2.0, theta=2.0, q=2.0)
+    family = draw(st.sampled_from(["mixed", "hybrid", "energy"]))
+    flag = draw(st.booleans())  # class A, or the sharp energy set
+    if family == "mixed":
+        a0 = draw(st.floats(0.6, r - 0.6))
+        rest = draw(st.lists(st.floats(a0 + 0.05, r - 0.01),
+                             min_size=d - 1, max_size=d - 1))
+        spec = grids.SmoothnessSpec(kind="mixed", a=(a0, *sorted(rest)), **kw)
+    else:
+        alpha = draw(st.floats(0.6, r - 0.6))
+        beta = draw(st.floats(0.55 - alpha, r - 0.05 - alpha))
+        gamma = draw(st.floats(0.1, 1.0)) if family == "energy" else None
+        spec = grids.SmoothnessSpec(kind="hybrid", alpha=alpha, beta=beta,
+                                    gamma=gamma, **kw)
+    make = lambda xi: grids.delta_for_family(  # noqa: E731
+        xi, spec, family, cls="A" if flag else "B",
+        theta_le_taustar_flag=flag)
+    try:
+        make(0.0)
+    except ValueError:  # beta = 0 or gamma, alpha too small for energy
+        assume(False)
+    return make, draw(st.integers(100, 100_000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_sets())
+def test_axis_0_leaves_fewest_chains(family):
+    # chains, sample_grid, build and evaluation all run along axis 0
+    make, n = family
+    delta = make(grids.xi_for_budget(n, make))
+    counts = [len({k[:a] + k[a + 1:] for k in delta.levels})
+              for a in range(delta.d)]
+    assert counts[0] == min(counts) == len(grids.chains(delta.levels))
 
 
 def test_sample_grid_rejects_int64_overflow():

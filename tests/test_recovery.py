@@ -88,7 +88,7 @@ def test_sample_accounting():
     assert rec.sample_budget == delta.distinct_points() == len(sampled)
     assert len(np.unique(sampled, axis=0)) == len(sampled)
     assert rec.declared_budget == delta.budget()
-    assert rec.max_level() == delta.max_level()
+    assert rec.delta is delta
 
 
 def test_row_function_handle_builds_or_raises_value_error():
@@ -156,7 +156,7 @@ def test_evaluate_matches_batch(monkeypatch):
     single = [recovery.evaluate(rec, x) for x in X]
     np.testing.assert_allclose(single, batch, atol=1e-15)
     # slabbed evaluation is just a partition of the work
-    monkeypatch.setattr(recovery, "SLAB", 7)
+    monkeypatch.setattr(bspline, "SLAB", 7)
     np.testing.assert_allclose(recovery.evaluate_batch(rec, X), batch,
                                atol=0)
 
@@ -228,12 +228,31 @@ def test_slabs_are_evaluated_independently(delta, r, seed):
     rng = np.random.default_rng(seed)
     rec = _random_reconstruction(delta, r, rng)
     probes = _probe_points(delta, rng)
-    X = np.vstack([probes, rng.random((recovery.SLAB + 1 - len(probes),
+    X = np.vstack([probes, rng.random((bspline.SLAB + 1 - len(probes),
                                        delta.d))])
-    parts = [recovery.evaluate_batch(rec, X[:recovery.SLAB]),
-             recovery.evaluate_batch(rec, X[recovery.SLAB:])]
+    parts = [recovery.evaluate_batch(rec, X[:bspline.SLAB]),
+             recovery.evaluate_batch(rec, X[bspline.SLAB:])]
     assert recovery.evaluate_batch(rec, X).tobytes() == \
         np.concatenate(parts).tobytes()
+
+
+def test_each_box_goes_on_integer_knots_once(monkeypatch):
+    # two full slabs and one point: one conversion per box, three slabs
+    rec = recovery.build(smooth2, grids.delta_mixed(4.0, MIXED), 3)
+    boxes = [k for k, *_ in recovery._level_groups(rec)]
+    X = np.random.default_rng(5).random((2 * bspline.SLAB + 1, 2))
+    want = recovery.evaluate_batch(rec, X)
+    calls = []
+    for name in ("_integer_knots", "eval_knots"):
+        def spy(r, k, *args, name=name, real=getattr(bspline, name)):
+            calls.append((name, k))
+            return real(r, k, *args)
+        monkeypatch.setattr(bspline, name, spy)
+    assert recovery.evaluate_batch(rec, X).tobytes() == want.tobytes()
+    assert [k for name, k in calls if name == "_integer_knots"] == boxes
+    assert [name for name, _ in calls] == \
+        ["_integer_knots", "eval_knots", "eval_knots", "eval_knots"] \
+        * len(boxes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,10 +295,8 @@ def test_box_plan_on_anisotropic_sets(spec, n):
     rng = np.random.default_rng(n)
     rec = recovery.build(_wave(rng, spec.d), delta, spec.r)
     surplus = rec.surplus
-    axis = min(range(spec.d), key=lambda a: len(grids.chains(surplus, a)))
-    tops = [rest[:axis] + (m,) + rest[axis:] for rest, m in
-            sorted(grids.chains(surplus, axis).items())]
-    plan = recovery._box_plan(spec.r, axis, surplus)
+    tops = [(m,) + rest for rest, m in sorted(grids.chains(surplus).items())]
+    plan = recovery._box_plan(spec.r, surplus)
     # runs of neighbouring chains, each box the max of its tops
     assert [t for _, members in plan for t in members] == tops
     for box, members in plan:
