@@ -81,12 +81,46 @@ def _tiles(shape):
                                for n, s in zip(shape, steps)))
 
 
+def _primes(d: int) -> list:
+    """The first d primes."""
+    found, n = [], 2
+    while len(found) < d:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
 @lru_cache(maxsize=4)
 def _halton_design(d: int, points: int, seed) -> np.ndarray:
-    """Scrambled Halton points, read-only, as the cache shares them."""
-    from scipy.stats import qmc  # the slowest import; only Halton needs it
-
-    X = qmc.Halton(d=d, scramble=True, seed=seed).random(points)
+    """Scrambled Halton points (Owen, "A randomized Halton algorithm in R",
+    arXiv:1706.02808, 2017), (points, d), F-contiguous and read-only, as
+    the cache shares them: column i sums the digits of the point index in
+    the i-th prime base, each put through its own random permutation.
+    Bitwise scipy.stats.qmc.Halton(d, scramble=True, seed=seed)
+    .random(points): the same generator (default_rng of an int or None,
+    the first child of a Generator, which so draws anew on every call),
+    shuffles and sum.  Once every index is spent its digits are 0, and the
+    remaining terms add the scalar perm[0] * base^-j.
+    """
+    rng = (seed.spawn(1)[0] if isinstance(seed, np.random.Generator) else
+           np.random.default_rng(seed))
+    X = np.zeros((d, points))
+    for col, base in zip(X, _primes(d)):
+        digits = math.ceil(54 / math.log2(base)) - 1  # base^-j > 2^-54
+        perms = np.tile(np.arange(base), (digits, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        q, top, b2r = np.arange(points), points - 1, 1.0 / base
+        for perm in perms:
+            if top:  # some index still has a nonzero digit here
+                q, digit = np.divmod(q, base)
+                col += (perm * b2r)[digit]
+                top //= base
+            else:
+                col += perm[0] * b2r
+            b2r /= base
+    X = X.T
     X.flags.writeable = False
     return X
 

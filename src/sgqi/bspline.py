@@ -194,9 +194,10 @@ def _candidates(r: int, Ki: int, x: np.ndarray):
     return fl.astype(np.intp), _basis_values(r, u - fl)
 
 
-def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
-    """Evaluate a single-level tensor spline expansion at the (npts, d)
-    points X in [0, 1]^d.
+def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X,
+                   out=None) -> np.ndarray:
+    """Values of a single-level tensor spline expansion at the (npts, d)
+    points X in [0, 1]^d, added into out (length npts) when it is given.
 
     coeffs[i_1,...,i_d] is the coefficient of the shift s_min + i (per
     dimension) of shift_bounds(r, k).  Shifts outside the coefficient
@@ -205,9 +206,10 @@ def eval_expansion(r: int, k, s_min, coeffs: np.ndarray, X) -> np.ndarray:
     """
     _check_order(r)
     K, P = _integer_knots(r, _as_level(k), s_min, coeffs)
-    out = np.empty(len(X))
+    if out is None:
+        out = np.zeros(len(X))
     for i in range(0, len(X), SLAB):
-        out[i:i + SLAB] = eval_knots(r, K, P, X[i:i + SLAB])
+        out[i:i + SLAB] += eval_knots(r, K, P, X[i:i + SLAB])
     return out
 
 

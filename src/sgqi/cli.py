@@ -213,6 +213,8 @@ def _error_kwargs(cfg, spec):
     if offset not in ("true", "false", "yes", "no", "1", "0"):
         raise ConfigError(f"sweep.offset is not true or false: {offset!r}")
     seed = _as_int(sw.get("seed", "7"), "sweep.seed")
+    if seed < 0:
+        raise ConfigError(f"sweep.seed must be non-negative: {seed}")
     return dict(q_norm=q_norm, resolution=resolution, method=method,
                 offset=offset in ("true", "yes", "1"), points=points,
                 seed=seed)

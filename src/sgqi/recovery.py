@@ -169,7 +169,7 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
         raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros(X.shape[0])
     for k, s_min, coeffs in _level_groups(rec):  # built as it is summed
-        out += bspline.eval_expansion(rec.r, k, s_min, coeffs, X)
+        bspline.eval_expansion(rec.r, k, s_min, coeffs, X, out=out)
     return out
 
 

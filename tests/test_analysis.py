@@ -124,6 +124,40 @@ def test_halton_design_reused_per_integer_seed():
     assert err(rng) != err(rng)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 1001])
+def test_halton_design_matches_scipy(d):
+    # differential check against the scipy engine the design replaced;
+    # d = 1001 runs past the 1000 primes scipy keeps in a table
+    from scipy.stats import qmc
+
+    seeds = (7,) if d > 6 else (0, 7, np.int64(12345))
+    sizes = [3] if d > 6 else [1, 2, 3, 8192, 10 ** 5]
+    for seed in seeds:
+        for n in sizes:
+            got = analysis._halton_design(d, n, seed)
+            want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert same_bits(got, want), (seed, n)
+            assert got.flags.f_contiguous and not got.flags.writeable
+
+
+def test_halton_design_generator_seed_matches_scipy():
+    from scipy.stats import qmc
+
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    draws = []
+    for _ in range(2):  # each call spawns a new child of the parent
+        got = analysis._halton_design.__wrapped__(3, 1000, ours)
+        want = qmc.Halton(d=3, scramble=True, seed=theirs).random(1000)
+        assert same_bits(got, want)
+        draws.append(got)
+    assert not np.array_equal(*draws)
+
+
 @pytest.mark.parametrize("offset", [False, True])
 def test_lattice_tiles_partition_the_lattice(monkeypatch, offset):
     f = lambda X: np.cos(2.0 * X[:, 0]) + X[:, 1] ** 2 * X[:, 2]

@@ -379,6 +379,17 @@ def test_exit_2_points_below_one(mixed_cfg):
     assert "sweep.points" in res.stderr
 
 
+@pytest.mark.parametrize("method", ["halton", "mc"])
+def test_exit_2_negative_seed(mixed_cfg, method):
+    # numpy rejects the seed only once the first reconstruction is built,
+    # which exited 3 as a numerical failure
+    res = run_cli("recover", "-c", mixed_cfg, "--set", f"sweep.method={method}",
+                  "--set", "sweep.seed=-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "sweep.seed" in res.stderr
+
+
 @pytest.mark.parametrize("setting", [
     "sweep.lq=0", "sweep.lq=nan", "sweep.method=bogus", "sweep.resolution=1",
     "sweep.resolution=0,5", "sweep.resolution=3,3,3", "sweep.offset=maybe"])
@@ -456,8 +467,9 @@ def test_hash_tracks_experiment_not_output(mixed_cfg, tmp_path):
 
 def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     # scipy is slow to import: sgqi.cli and the commands that build no
-    # reconstruction run on numpy alone (scipy.sparse is loaded by the
-    # first table product with a tensor, scipy.stats by Halton estimation)
+    # reconstruction run on numpy alone; recover loads scipy.sparse for the
+    # first table product with a tensor, but Halton and Monte Carlo error
+    # estimation never load scipy.stats
     commands = [
         ["integrate", "-c", mixed_cfg],
         ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
@@ -467,16 +479,24 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
          "--set", "sweep.xi=2,4"],
         ["dump-grid", "-c", mixed_cfg, "--set", "sweep.xi=3"],
     ]
+    recover = [["recover", "-c", mixed_cfg, "--set", f"sweep.method={m}",
+                "--set", "sweep.points=4096"] for m in ("halton", "mc")]
     out = str(tmp_path / "out")
     code = textwrap.dedent(f"""\
         import sys, sgqi.cli
         scipy = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        stats = lambda: [m for m in scipy() if m.split(".")[:2] == ["scipy",
+                                                                     "stats"]]
         print(scipy())
         for argv in {commands!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
             print(scipy())
+        for argv in {recover!r}:
+            assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
+            print(stats())
         """)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n") == ["[]"] * (len(commands) + 1) + [""]
+    assert res.stdout.split("\n") == \
+        ["[]"] * (len(commands) + len(recover) + 1) + [""]
