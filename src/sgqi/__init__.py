@@ -1,7 +1,7 @@
 """Sparse-grid quasi-interpolation: B-spline sampling recovery on the unit
 cube with anisotropic level sets, induced cubature, and rate diagnostics."""
 
-from .bspline import eval_centered, shift_bounds, shift_denominator
+from .bspline import shift_bounds, shift_denominator
 from .grids import (LevelSet, SampleGrid, SmoothnessSpec, comparison_sets,
                     delta_energy, delta_hybrid, delta_mixed, nu_exponent,
                     sample_grid, theta_le_taustar, trade_exponent,

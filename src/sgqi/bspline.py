@@ -1,9 +1,11 @@
 """Centered cardinal B-splines and their dyadic dilates.
 
 The splines here are the r-fold convolutions of the unit box, centered at
-the origin, hard-coded as piecewise polynomials for orders r = 1..4.  The
-test suite validates them against a Cox-de Boor recursion written
-independently.
+the origin, for orders r = 1..4, held once: as the integer-coefficient
+polynomial pieces _PIECES, which every evaluation runs by Horner's rule
+and integral_vector integrates exactly in rationals.  The test suite
+validates them against closed-form pieces, a Cox-de Boor recursion and a
+truncated-power integral written independently.
 
 Conventions:
   * order r has support [-r/2, r/2],
@@ -24,6 +26,7 @@ the same floating-point operations.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -41,29 +44,6 @@ def shift_denominator(r: int) -> int:
     """2 for odd orders (half-integer translation scheme), 1 for even."""
     _check_order(r)
     return 1 if r % 2 == 0 else 2
-
-
-def eval_centered(r: int, t):
-    """Value of the centered B-spline of order r at t (scalar or ndarray)."""
-    _check_order(r)
-    t = np.asarray(t, dtype=float)
-    u = np.abs(t)
-    if r == 1:
-        v = np.where((t >= -0.5) & (t < 0.5), 1.0, 0.0)
-    elif r == 2:
-        v = np.maximum(1.0 - u, 0.0)
-    elif r == 3:
-        v = np.where(u <= 0.5, 0.75 - u * u, 0.0)
-        mid = (u > 0.5) & (u < 1.5)
-        # parabola pieces meet at u = 1/2 with value 1/2
-        v = np.where(mid, 0.5 * (1.5 - u) ** 2, v)
-    else:
-        v = np.where(u <= 1.0, 2.0 / 3.0 - u * u + 0.5 * u**3, 0.0)
-        outer = (u > 1.0) & (u < 2.0)
-        v = np.where(outer, (2.0 - u) ** 3 / 6.0, v)
-    if v.ndim == 0:
-        return float(v)
-    return v
 
 
 def _as_level(k, name="k"):
@@ -94,49 +74,6 @@ def shift_bounds(r: int, k: int) -> tuple[int, int]:
     return (-r + 1, (1 << (k + 1)) + r - 1)
 
 
-@lru_cache(maxsize=None)
-def _integral_centered(r: int, a: float, b: float) -> float:
-    """Integral of M over [a, b], a subinterval of its support, piece by
-    piece between the knots with a Gauss rule of ceil(r/2) points, exact
-    for the degree r-1 polynomial pieces.  The clipped intervals repeat
-    from level to level, so each is integrated once per process."""
-    half = r / 2.0
-    knots = [-half + i for i in range(r + 1)]
-    cuts = sorted({a, b, *[c for c in knots if a < c < b]})
-    gx, gw = np.polynomial.legendre.leggauss((r + 1) // 2)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        rad = 0.5 * (hi - lo)
-        total += rad * float(np.dot(gw, eval_centered(r, mid + rad * gx)))
-    return total
-
-
-@lru_cache(maxsize=None)
-def integral_vector(r: int, k: int) -> np.ndarray:
-    """Integrals over [0,1] of M(2^k x - s/den), one per shift s of
-    shift_bounds(r, k).
-
-    Substituting t = 2^k x - s/den leaves M integrated over its support
-    clipped to [-s/den, 2^k - s/den], scaled by 2^-k.  All interior shifts
-    share the whole support, so M is integrated once per distinct clipped
-    interval; an empty one (the right-open order-1 box past x = 1)
-    integrates to 0.
-    """
-    lo, hi = shift_bounds(r, k)
-    s = np.arange(lo, hi + 1)
-    den = shift_denominator(r)
-    half = r / 2.0
-    ends = np.stack([np.maximum(-s / den, -half),
-                     np.minimum(math.ldexp(1.0, k) - s / den, half)], axis=1)
-    pieces, which = np.unique(ends, axis=0, return_inverse=True)
-    vals = np.array([_integral_centered(r, a, b) if a < b else 0.0
-                     for a, b in pieces.tolist()])
-    out = np.ldexp(vals[which.reshape(-1)], -k)
-    out.flags.writeable = False  # the cache hands it to every caller
-    return out
-
-
 # (r-1)! N_r(t + r - 1 - j) on t in [0, 1) for j = 0..r-1, highest power of
 # t first; N_r(v - b) = M(v - b - r/2) is the B-spline on the knots b..b+r
 _PIECES = {
@@ -145,6 +82,38 @@ _PIECES = {
     3: ((1, -2, 1), (-2, 2, 1), (1, 0, 0)),
     4: ((-1, 3, -3, 1), (3, -6, 0, 4), (-3, 3, 3, 1), (1, 0, 0, 0)),
 }
+
+
+@lru_cache(maxsize=None)
+def _clipped_integrals(r: int) -> np.ndarray:
+    """T[a, b], the integral of N_r over [a/2, b/2] for 0 <= a <= b <= 2r:
+    the pieces integrated exactly in Fractions at the half-integers, each
+    difference rounded once."""
+    F = [Fraction(0)]  # antiderivative of N_r at 0, 1/2, ..., r
+    for j in reversed(range(r)):  # piece j is N_r on [r - 1 - j, r - j)
+        start = F[-1]
+        F += [start + sum(c * u ** (r - i) / (r - i)
+                          for i, c in enumerate(_PIECES[r][j]))
+              / math.factorial(r - 1) for u in (Fraction(1, 2), Fraction(1))]
+    return np.array([[float(b - a) for b in F] for a in F])
+
+
+@lru_cache(maxsize=None)
+def integral_vector(r: int, k: int) -> np.ndarray:
+    """Integrals over [0,1] of M(2^k x - s/den), one per shift s of
+    shift_bounds(r, k), each the correctly rounded exact value.
+
+    Substituting v = 2^k x - s/den + r/2 leaves N_r integrated over its
+    support [0, r] clipped to [r/2 - s/den, 2^k + r/2 - s/den], whose ends
+    are half-integers, scaled by 2^-k: interior shifts get exactly 2^-k,
+    and an empty interval (the right-open order-1 box past x = 1) 0.
+    """
+    lo, hi = shift_bounds(r, k)
+    a = r - 2 // shift_denominator(r) * np.arange(lo, hi + 1)  # 2v at x = 0
+    out = np.ldexp(_clipped_integrals(r)[np.maximum(a, 0),
+                                         np.minimum(a + (2 << k), 2 * r)], -k)
+    out.flags.writeable = False  # the cache hands it to every caller
+    return out
 
 
 def _basis_values(r: int, t: np.ndarray) -> np.ndarray:

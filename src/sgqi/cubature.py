@@ -72,6 +72,7 @@ def _level_weights(r: int, k: tuple) -> np.ndarray:
 def assemble_weights(delta: LevelSet, r: int) -> CubatureRule:
     """Accumulate per-point cubature weights over all levels of the set,
     scattering each level's node weights onto the distinct grid points."""
+    bspline._check_order(r)
     grid = sample_grid(delta)
     weights = np.zeros(grid.distinct_points)
     for k in delta.levels:

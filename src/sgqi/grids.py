@@ -209,12 +209,19 @@ class LevelSet:
                      for i in range(self.d))
 
     def is_downward_closed(self) -> bool:
+        """Whether every level's lower neighbours are levels too;
+        ValueError if a level has other than d entries or a negative one."""
         for k in self.levels:
+            if len(k) != self.d:
+                raise ValueError(f"level {k!r} has {len(k)} entries, "
+                                 f"not {self.d}")
             for i in range(self.d):
                 if k[i] > 0:
                     below = k[:i] + (k[i] - 1,) + k[i + 1 :]
                     if below not in self._index:
                         return False
+                elif k[i] != 0:
+                    raise ValueError(f"level {k!r} has a negative entry")
         return True
 
     def issubset(self, other: "LevelSet") -> bool:
@@ -413,16 +420,31 @@ def xi_for_budget(n: int, make_delta) -> float:
     (the values phi(k), rounded to 9 places) with budget(make_delta(xi))
     <= n.
 
-    Doubling xi from 1 finds a set past n; it holds every smaller set, as
+    Growing a trial xi finds a set past n; it holds every smaller set, as
     the levels whose gate is within _bound(xi).  With its levels sorted by
     gate, the prefix sums of their sizes budget every candidate xi by one
-    bisection, and the budget is nondecreasing in xi.
+    bisection, and the budget is nondecreasing in xi.  ValueError unless n
+    is a finite number at least the budget of the set at xi = 0.
     """
-    if make_delta(0.0).budget() > n:
+    if not n < math.inf:  # NaN fails too; the comparison takes any int
+        raise ValueError(f"budget must be a finite number, not {n!r}")
+    bottom = make_delta(0.0)
+    if bottom.budget() > n:
         raise ValueError("budget below minimal grid")
-    hi = 1.0
+    # Up to 1, xi jumps from 2^-24 by 2^12 while the set is the one at 0:
+    # a family with breakpoints far below 1 (a rate near 0) then meets a
+    # first set at most 2^12 levels deep per axis, not one astronomically
+    # large at xi = 1 (breakpoints under the 1e-9 of _bound(0) are in the
+    # set at 0 already).  Level counts grow about like xi^d, so from there
+    # a step of 2^(3/d) enumerates at most about 8 times the set before
+    # it, as doubling does in d = 3.
+    step = 2.0 ** min(1.0, 3.0 / bottom.d)
+    hi = 2.0 ** -24
     while (top := make_delta(hi)).budget() <= n:
-        hi *= 2.0
+        if hi < 1.0 and len(top) == len(bottom):
+            hi = min(1.0, hi * 4096.0)
+        else:
+            hi *= step
     order = sorted(range(len(top)), key=top.gate.__getitem__)
     gates = [top.gate[i] for i in order]
     budgets = list(itertools.accumulate((top._sizes[i] for i in order),
@@ -496,7 +518,8 @@ def chains(levels) -> dict:
 
 
 def sample_grid(delta: LevelSet) -> SampleGrid:
-    """Distinct points of the grid of a nonempty downward-closed level set.
+    """Distinct points of the grid of a nonempty downward-closed level set
+    of d nonnegative entries per level; ValueError otherwise.
 
     The new points of level k (odd numerators where k_i >= 1, the two
     endpoints where k_i = 0) partition the grid, so collecting them needs

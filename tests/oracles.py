@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written from the textbook definitions, on purpose not
-sharing code with the package: Cox-de Boor recursion for the splines, the
-classical Faber (hat-function) surplus for order 2, exact rational
-sample and surplus functionals derived row by row in Fractions, a scalar
+sharing code with the package: the centered splines as closed-form
+pieces (eval_centered) and by the Cox-de Boor recursion, their exact
+integrals in Fractions from the truncated-power form, the classical
+Faber (hat-function) surplus for order 2, exact rational sample and
+surplus functionals derived row by row in Fractions, a scalar
 boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
@@ -12,8 +14,7 @@ per budget, the np.moveaxis axis product, the per-level evaluation kernel
 (it calls the package's single-level bspline.eval_expansion),
 centered_expansion, the half-integer candidate kernel that was
 bspline.eval_expansion before the integer-knot one and is now its
-reference, the pointwise tensor spline and the one-shift-at-a-time spline
-integrals (they call bspline.eval_centered).
+reference, and the pointwise tensor spline (both value eval_centered).
 The Besov-type coefficient quasinorm lives here too: only tests use it.
 """
 
@@ -26,7 +27,31 @@ from scipy import sparse
 
 
 # --------------------------------------------------------------------------
-# Cox-de Boor recursion for the centered cardinal B-spline
+# the centered cardinal B-spline: closed-form pieces, Cox-de Boor recursion
+
+
+def eval_centered(r: int, t):
+    """Value of the centered B-spline of order r at t (scalar or ndarray)."""
+    if r not in (1, 2, 3, 4):
+        raise ValueError("order out of range")
+    t = np.asarray(t, dtype=float)
+    u = np.abs(t)
+    if r == 1:
+        v = np.where((t >= -0.5) & (t < 0.5), 1.0, 0.0)
+    elif r == 2:
+        v = np.maximum(1.0 - u, 0.0)
+    elif r == 3:
+        v = np.where(u <= 0.5, 0.75 - u * u, 0.0)
+        mid = (u > 0.5) & (u < 1.5)
+        # parabola pieces meet at u = 1/2 with value 1/2
+        v = np.where(mid, 0.5 * (1.5 - u) ** 2, v)
+    else:
+        v = np.where(u <= 1.0, 2.0 / 3.0 - u * u + 0.5 * u**3, 0.0)
+        outer = (u > 1.0) & (u < 2.0)
+        v = np.where(outer, (2.0 - u) ** 3 / 6.0, v)
+    if v.ndim == 0:
+        return float(v)
+    return v
 
 
 def cox_de_boor(r: int, t: float) -> float:
@@ -91,37 +116,30 @@ def eval_dilated(r: int, k, s, x) -> float:
     den = bspline.shift_denominator(r)
     val = 1.0
     for ki, si, xi in zip(k, s, x):
-        val *= bspline.eval_centered(r, math.ldexp(float(xi), ki) - si / den)
+        val *= eval_centered(r, math.ldexp(float(xi), ki) - si / den)
     return val
 
 
-@lru_cache(maxsize=None)
 def integral_dilated_1d(r: int, k: int, s: int) -> float:
-    """Exact integral over [0,1] of M(2^k x - s/den), one shift at a time.
+    """Integral over [0,1] of M(2^k x - s/den), one shift at a time, as the
+    float nearest the exact rational.
 
-    Substituting t = 2^k x - s/den, M is integrated over its support
-    clipped to [-s/den, 2^k - s/den], piece by piece between the knots
-    with a Gauss rule of ceil(r/2) points (exact for the degree r-1
-    pieces), and scaled by 2^-k.
+    Substituting v = 2^k x - s/den + r/2 leaves the B-spline N_r on the
+    knots 0..r, in truncated-power form sum_j (-1)^j C(r, j) (v - j)_+^(r-1)
+    / (r-1)!, integrated over [0, r] clipped to [r/2 - s/den, 2^k + r/2 -
+    s/den]: the difference of its antiderivative, the same sum with
+    exponent r over r!, in Fractions, scaled by 2^-k.
     """
-    from sgqi import bspline
+    def antiderivative(v):
+        return sum((-1) ** j * math.comb(r, j) * max(v - j, 0) ** r
+                   for j in range(r + 1)) / math.factorial(r)
 
-    den = 1 if r % 2 == 0 else 2
-    half = r / 2.0
-    lo = max(-s / den, -half)
-    hi = min(math.ldexp(1.0, k) - s / den, half)
+    shift = Fraction(s, 1 if r % 2 == 0 else 2)
+    lo = max(Fraction(r, 2) - shift, Fraction(0))
+    hi = min((1 << k) + Fraction(r, 2) - shift, Fraction(r))
     if hi <= lo:
         return 0.0
-    knots = [-half + i for i in range(r + 1)]
-    cuts = sorted({lo, hi, *[c for c in knots if lo < c < hi]})
-    gx, gw = np.polynomial.legendre.leggauss((r + 1) // 2)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        rad = 0.5 * (b - a)
-        vals = bspline.eval_centered(r, mid + rad * gx)
-        total += rad * float(np.dot(gw, vals))
-    return math.ldexp(total, -k)
+    return math.ldexp(float(antiderivative(hi) - antiderivative(lo)), -k)
 
 
 def integral_on_cube(r: int, k, s) -> float:
@@ -376,7 +394,7 @@ def centered_expansion(r: int, k, s_min, coeffs: np.ndarray,
                        X: np.ndarray) -> np.ndarray:
     """bspline.eval_expansion at the (npts, d) points X as it was before
     the integer-knot kernel: den*r candidate shifts per axis (2r for odd
-    r), each valued by bspline.eval_centered at u - s/den."""
+    r), each valued by eval_centered at u - s/den."""
     from sgqi import bspline
 
     d = len(k)
@@ -389,7 +407,7 @@ def centered_expansion(r: int, k, s_min, coeffs: np.ndarray,
         a = den * u - den * r / 2.0
         s_lo = np.floor(a).astype(np.int64) + 1
         cand = np.arange(m, dtype=np.int64)[:, None] + s_lo[None, :]
-        B = bspline.eval_centered(r, u[None, :] - cand / den)
+        B = eval_centered(r, u[None, :] - cand / den)
         col = cand - s_min[i]
         inside = (col >= 0) & (col < coeffs.shape[i])
         vals.append(np.where(inside, B, 0.0))

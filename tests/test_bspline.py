@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgqi import bspline, quasi_interp
-from oracles import (centered_expansion, cox_de_boor, eval_dilated,
-                     integral_dilated_1d, integral_on_cube, shift_ranges)
+from oracles import (centered_expansion, cox_de_boor, eval_centered,
+                     eval_dilated, integral_dilated_1d, integral_on_cube,
+                     shift_ranges)
 
 
 def integral(r, k, s):
@@ -18,38 +20,38 @@ def integral(r, k, s):
 
 
 def test_frozen_center_values():
-    assert bspline.eval_centered(1, 0.0) == 1.0
-    assert bspline.eval_centered(2, 0.0) == 1.0
-    assert bspline.eval_centered(3, 0.0) == 0.75
-    assert math.isclose(bspline.eval_centered(4, 0.0), 2.0 / 3.0)
-    assert math.isclose(bspline.eval_centered(4, 1.0), 1.0 / 6.0)
-    assert bspline.eval_centered(3, 0.5) == 0.5
+    assert eval_centered(1, 0.0) == 1.0
+    assert eval_centered(2, 0.0) == 1.0
+    assert eval_centered(3, 0.0) == 0.75
+    assert math.isclose(eval_centered(4, 0.0), 2.0 / 3.0)
+    assert math.isclose(eval_centered(4, 1.0), 1.0 / 6.0)
+    assert eval_centered(3, 0.5) == 0.5
     # box convention: right-continuous at the jump
-    assert bspline.eval_centered(1, -0.5) == 1.0
-    assert bspline.eval_centered(1, 0.5) == 0.0
+    assert eval_centered(1, -0.5) == 1.0
+    assert eval_centered(1, 0.5) == 0.0
 
 
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_matches_cox_de_boor(r):
     ts = np.linspace(-2.5, 2.5, 641)  # includes all knots of every order
     for t in ts:
-        assert abs(bspline.eval_centered(r, t) - cox_de_boor(r, t)) < 1e-12
+        assert abs(eval_centered(r, t) - cox_de_boor(r, t)) < 1e-12
 
 
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_support_and_symmetry(r):
-    assert bspline.eval_centered(r, r / 2 + 1e-9) == 0.0
-    assert bspline.eval_centered(r, -r / 2 - 1e-9) == 0.0
+    assert eval_centered(r, r / 2 + 1e-9) == 0.0
+    assert eval_centered(r, -r / 2 - 1e-9) == 0.0
     if r > 1:
         ts = np.linspace(0.0, r / 2, 101)
-        np.testing.assert_allclose(bspline.eval_centered(r, ts),
-                                   bspline.eval_centered(r, -ts))
+        np.testing.assert_allclose(eval_centered(r, ts),
+                                   eval_centered(r, -ts))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-3.0, 3.0), st.integers(1, 4))
 def test_partition_of_unity(t, r):
-    total = sum(bspline.eval_centered(r, t - s) for s in range(-6, 7))
+    total = sum(eval_centered(r, t - s) for s in range(-6, 7))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -79,7 +81,7 @@ def test_active_shifts_cover_right_endpoint():
         for k in (0, 1, 3):
             den = bspline.shift_denominator(r)
             lo, hi = bspline.shift_bounds(r, k)
-            total = sum(bspline.eval_centered(r, (1 << k) * 1.0 - s / den)
+            total = sum(eval_centered(r, (1 << k) * 1.0 - s / den)
                         for s in range(lo, hi + 1))
             # half-integer schemes double-cover; integer schemes sum to 1
             assert total > 0.999
@@ -87,8 +89,8 @@ def test_active_shifts_cover_right_endpoint():
 
 def test_eval_dilated_tensor_product():
     v = eval_dilated(3, (1, 2), (1, 3), (0.3, 0.6))
-    v1 = bspline.eval_centered(3, 2 * 0.3 - 0.5)
-    v2 = bspline.eval_centered(3, 4 * 0.6 - 1.5)
+    v1 = eval_centered(3, 2 * 0.3 - 0.5)
+    v2 = eval_centered(3, 4 * 0.6 - 1.5)
     assert math.isclose(v, v1 * v2)
 
 
@@ -115,7 +117,7 @@ def test_integral_against_quadrature(r, k, s):
     from scipy.integrate import quad
 
     den = bspline.shift_denominator(r)
-    val, _ = quad(lambda x: bspline.eval_centered(r, (1 << k) * x - s / den),
+    val, _ = quad(lambda x: eval_centered(r, (1 << k) * x - s / den),
                   0.0, 1.0, limit=200)
     assert math.isclose(integral(r, k, s), val, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -129,8 +131,8 @@ def test_integral_on_cube_is_product():
 
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_integral_vector_matches_per_shift_reference(r):
-    # one Gauss integral per distinct clipped support gives, bit for bit,
-    # what integrating every shift on its own gives
+    # the shared table of clipped integrals gives, bit for bit, what
+    # integrating every shift on its own in exact arithmetic gives
     for k in range(13):
         lo, hi = bspline.shift_bounds(r, k)
         want = [integral_dilated_1d(r, k, s) for s in range(lo, hi + 1)]
@@ -139,6 +141,28 @@ def test_integral_vector_matches_per_shift_reference(r):
         if r == 1:
             # the right-open box past x = 1 meets [0,1] in one point
             assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize("r", bspline.ORDERS)
+def test_integral_vector_is_correctly_rounded(r):
+    # every entry is the float nearest the exact integral: interior shifts,
+    # whose support lies in [0,1], exactly 2^-k, the clipped ones at both
+    # edges against the exact oracle, up to the deepest level 13
+    den = bspline.shift_denominator(r)
+    for k in range(14):
+        lo, hi = bspline.shift_bounds(r, k)
+        got = bspline.integral_vector(r, k)
+        for s in range(lo, hi + 1):
+            if den * r <= 2 * s <= den * ((2 << k) - r):  # inside [0, 1]
+                assert got[s - lo] == math.ldexp(1.0, -k), (k, s)
+            else:
+                assert got[s - lo] == integral_dilated_1d(r, k, s), (k, s)
+        if r == 4 and k >= 2:
+            # the edge shift s = 1 keeps 23/24 of the spline; the Gauss
+            # rule this replaced read 0.9583333333333331 here and
+            # 0.9999999999999999 on the interior
+            assert got[1 - lo] == math.ldexp(float(Fraction(23, 24)), -k) \
+                == math.ldexp(0.9583333333333334, -k)
 
 
 @pytest.mark.parametrize("r", bspline.ORDERS)
@@ -223,6 +247,6 @@ def test_scattered_kernel_is_bitwise_lattice_contract(r, d, seed, data):
 
 def test_order_out_of_range():
     with pytest.raises(ValueError, match="order"):
-        bspline.eval_centered(5, 0.0)
+        eval_centered(5, 0.0)
     with pytest.raises(ValueError, match="order"):
         bspline.shift_bounds(0, 1)

@@ -208,12 +208,12 @@ GOLDEN_RULES = [
       "--set=problem.r=4", "--set=problem.p=2", "--set=problem.theta=1",
       "--set=problem.q=2", "--set=problem.alpha=1", "--set=problem.beta=0.5",
       "--set=sweep.budgets=1000"],
-     "415a7d52ec776b97113f2e1fc1d5e000fc253ec2107fc7e3228a4322d89973cc"),
+     "a4f8b97ef7f8d5dc57f145fd724d2b78a4036226a4eca00d0e5ddc0de6b925fc"),
     (["--set=problem.family=mixed", "--set=problem.d=3",
       "--set=problem.r=3", "--set=problem.p=2", "--set=problem.theta=1",
       "--set=problem.q=2", "--set=problem.a=1,1.5,2",
       "--set=sweep.budgets=1000"],
-     "201fbfd81cb190d85030c7544d2b830af63b8767b097f14f903ce0a9475f7e54"),
+     "5880c9f7a2eebc2747bed0c1d286c00822d3d8c3aaad0cccaf6c12ecfc5317ad"),
 ]
 
 

@@ -91,6 +91,12 @@ def test_rejects_open_set():
         cubature.assemble_weights(empty, 2)
 
 
+def test_rejects_order_out_of_range():
+    # used to raise KeyError from the table lookup
+    with pytest.raises(ValueError, match="order out of range"):
+        cubature.assemble_weights(box_set((1, 1)), 5)
+
+
 def test_integrate_reconstruction_value():
     # integral of the piecewise linear interpolant of x^2 on h = 1/4:
     # composite trapezoid value (1/8)(0 + 2/16 + 2/4 + 2*9/16 + 1) = 11/32

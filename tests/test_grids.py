@@ -173,6 +173,27 @@ def test_xi_for_budget_matches_scan():
         grids.xi_for_budget(1, make)
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_xi_for_budget_rejects_non_finite_budget(n):
+    # NaN used to return xi = 1.0; infinity doubled xi until memory ran out
+    make = lambda xi: grids.delta_mixed(xi, MIXED)
+    with pytest.raises(ValueError, match="finite"):
+        grids.xi_for_budget(n, make)
+
+
+def test_xi_for_budget_rate_near_zero():
+    # alpha + beta - gamma = 1e-6: each axis alone reaches level 10^6 at
+    # xi = 1, a set the search used to enumerate until memory ran out
+    spec = grids.SmoothnessSpec(d=4, r=2, p=2.0, theta=2.0, q=2.0,
+                                kind="hybrid", alpha=0.6, beta=1e-6,
+                                gamma=0.6)
+    make = lambda xi: grids.delta_energy(xi, spec, False)
+    for n in (100, 10**5):
+        xi = grids.xi_for_budget(n, make)
+        above = min(v for v in make(2.0 * xi + 1e-5).phi if round(v, 9) > xi)
+        assert make(xi).budget() <= n < make(above).budget()
+
+
 def _xi_cases():
     """(make_delta, d, b, c) of every family: mixed at d = 1..5 in both
     classes, hybrid with beta > 0 and beta < 0 (c < 0), energy (c < 0)
@@ -470,4 +491,13 @@ def test_sample_grid_rejects_empty_level_set():
     delta = grids.delta_mixed(-1.0, MIXED_B)
     assert len(delta) == 0
     with pytest.raises(ValueError, match="no levels"):
+        grids.sample_grid(delta)
+
+
+@pytest.mark.parametrize("d,levels,match", [
+    (1, ((-1,), (0,)), "negative"), (2, ((0,), (0, 1)), "1 entries, not 2")])
+def test_sample_grid_rejects_malformed_levels(d, levels, match):
+    # a negative level gave a silent two-point grid, a short one IndexError
+    delta = grids.LevelSet(d=d, levels=levels, xi=0.0, family="t")
+    with pytest.raises(ValueError, match=match):
         grids.sample_grid(delta)

@@ -423,7 +423,7 @@ def test_lattice_matches_flattened_batch(delta, r, seed, data):
     for k, s_min, coeffs in recovery._level_groups(rec):
         want += centered_expansion(r, k, s_min, coeffs, X)
     flat = recovery.evaluate_batch(rec, X)
-    # the closed-form basis values round differently from eval_centered
+    # the closed-form basis values round differently from oracles.eval_centered
     _close(flat, want, 1e-12)
     got = recovery.evaluate_lattice(rec, axes)
     assert got.shape == tuple(len(ax) for ax in axes)
