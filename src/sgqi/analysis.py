@@ -146,10 +146,10 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
         big = math.prod(map(len, axes)) > _LATTICE_CAP
         method = "halton" if method is None and big else "lattice"
     if method == "lattice":
-        parts, groups = [], recovery.lattice_groups(rec)
+        parts = []
         for box in _tiles([len(ax) for ax in axes]):
             sub = [ax[sl] for ax, sl in zip(axes, box)]
-            R = recovery.evaluate_lattice(rec, sub, groups)
+            R = recovery.evaluate_lattice(rec, sub)
             X = np.stack(np.meshgrid(*sub, indexing="ij"), -1)
             diff = np.abs(fv(X.reshape(R.size, -1)) - R.reshape(-1))
             w = reduce(np.multiply.outer, [wt[s] for wt, s in zip(wts, box)])

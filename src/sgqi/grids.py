@@ -240,14 +240,17 @@ def _bound(xi: float) -> float:
 
 def _enumerate(d: int, b: tuple, cinf: float, xi: float):
     """Levels, phi and gate of all k >= 0 with sum b_i k_i + cinf*max(k)
-    <= xi, by depth-first search; requires b_i >= 0 and b_i + cinf > 0
-    (monotone, finite) and a finite xi."""
+    <= xi, by depth-first search; requires b_i >= 0, b_i + cinf above
+    _bound(0) (monotone, and only level 0 at xi = 0) and a finite xi."""
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, not {xi!r}")
     for bi in b:
         if bi < 0 or bi + cinf <= 0:
             raise ValueError("level-set functional is not monotone "
                              "increasing for these parameters")
+        if bi + cinf <= _bound(0.0):
+            raise ValueError("level-set functional is degenerate: unit step "
+                             f"{bi + cinf!r} is within the tolerance of xi")
     levels = []
     phis = []
     gates = []

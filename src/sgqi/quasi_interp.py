@@ -224,17 +224,18 @@ def refine_matrix(r: int, k: int) -> Table:
 
 
 def collocation_matrix(r: int, K: int, x: np.ndarray):
-    """(table, cols): cols are the sorted indices, into an axis of 2^K + r
-    padded coefficients of bspline._integer_knots, of the r integer-knot
-    splines N_r(2^K x - b) nonzero at each coordinate of x in [0, 1]; the
-    table holds their values, one row per coordinate, one column per entry
-    of cols.  Every row keeps its r entries, zeros included, so contract
-    over these tables sums a lattice in the order of bspline.eval_knots."""
+    """(table, window) for a nonempty x in [0, 1]: window slices an axis of
+    2^K + r padded coefficients of bspline._integer_knots from the first to
+    the last one a coordinate reaches; the table holds, per coordinate, the
+    values of its r nonzero splines N_r(2^K x - b) in the window's columns,
+    zeros included, so contract over these tables sums a lattice in the
+    order of bspline.eval_knots."""
     first, B = bspline._candidates(r, K, x)
-    cols, inv = np.unique(first[:, None] + np.arange(r), return_inverse=True)
+    lo, hi = int(first.min()), int(first.max()) + r
+    cols = (first - lo)[:, None] + np.arange(r)
     return Table(np.arange(0, r * len(x) + 1, r, dtype=np.int32),
-                 inv.reshape(-1).astype(np.int32), B.T.reshape(-1),
-                 (len(x), len(cols))), cols
+                 cols.reshape(-1).astype(np.int32), B.T.reshape(-1),
+                 (len(x), hi - lo)), slice(lo, hi)
 
 
 def _one_per_row(y, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,9 @@ from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
 class Reconstruction:
     """Surplus coefficients of R_Delta(f) plus sampling bookkeeping;
     samples (read-only) is f at the rows of sample_grid(delta), or None
-    for a reconstruction made from coefficients, which cannot be saved."""
+    for a reconstruction made from coefficients, which cannot be saved.
+    The evaluation boxes (_level_groups) are built at the first evaluation
+    and kept, so a later write to a coefficient array is not seen."""
 
     r: int
     d: int
@@ -43,6 +46,10 @@ class Reconstruction:
     sample_budget: int
     declared_budget: int
     samples: np.ndarray | None = None
+
+    @cached_property
+    def _boxes(self) -> list:
+        return list(_level_groups(self))
 
 
 def build(f, delta: LevelSet, r: int) -> Reconstruction:
@@ -132,8 +139,7 @@ def _level_groups(rec: Reconstruction):
     refinement quasi_interp.refine_matrix; then lifted by R along every
     other axis where the top is below the box and added into the box's
     accumulator, so the reconstruction's arrays are never written.  Every
-    level starts at the same shift, so the box keeps s_min.  Boxes are
-    built one at a time as the caller iterates.
+    level starts at the same shift, so the box keeps s_min.
     """
     r, surplus = rec.r, rec.surplus
     for box, tops in _box_plan(r, surplus):
@@ -168,26 +174,18 @@ def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:
     if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
         raise ValueError("evaluation point outside domain or not finite")
     out = np.zeros(X.shape[0])
-    for k, s_min, coeffs in _level_groups(rec):  # built as it is summed
+    for k, s_min, coeffs in rec._boxes:
         bspline.eval_expansion(rec.r, k, s_min, coeffs, X, out=out)
     return out
 
 
-def lattice_groups(rec: Reconstruction) -> list:
-    """The boxes of rec as padded integer-knot expansions (K, P) of
-    bspline._integer_knots, built once for all the lattices of one error
-    estimate."""
-    return [bspline._integer_knots(rec.r, k, s_min, coeffs)
-            for k, s_min, coeffs in _level_groups(rec)]
-
-
-def evaluate_lattice(rec: Reconstruction, axes, groups=None) -> np.ndarray:
+def evaluate_lattice(rec: Reconstruction, axes) -> np.ndarray:
     """Reconstruction values on the tensor lattice of d coordinate vectors:
-    one contract per box, of the coefficients some lattice point reaches,
-    over the axes' tables from quasi_interp.collocation_matrix.  That sums
-    in the nested order of bspline.eval_knots, so the values are bitwise
-    evaluate_batch's at the lattice points in C order.  groups is
-    lattice_groups(rec), built here when not given."""
+    one contract per box, put on integer knots, of the window of
+    coefficients the lattice reaches, over the axes' tables from
+    quasi_interp.collocation_matrix.  That sums in the nested order of
+    bspline.eval_knots, so the values are bitwise evaluate_batch's at the
+    lattice points in C order."""
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     if len(axes) != rec.d or any(ax.ndim != 1 for ax in axes):
         raise ValueError("point dimension mismatch")
@@ -196,10 +194,11 @@ def evaluate_lattice(rec: Reconstruction, axes, groups=None) -> np.ndarray:
     out = np.zeros([len(ax) for ax in axes])
     if out.size == 0:
         return out
-    for K, P in lattice_groups(rec) if groups is None else groups:
-        mats, cols = zip(*(collocation_matrix(rec.r, Ki, ax)
-                           for Ki, ax in zip(K, axes)))
-        out += contract(P[np.ix_(*cols)], mats)
+    for k, s_min, coeffs in rec._boxes:
+        K, P = bspline._integer_knots(rec.r, k, s_min, coeffs)
+        mats, window = zip(*(collocation_matrix(rec.r, Ki, ax)
+                             for Ki, ax in zip(K, axes)))
+        out += contract(P[window], mats)
     return out
 
 

@@ -239,9 +239,9 @@ def test_scattered_kernel_is_bitwise_lattice_contract(r, d, seed, data):
         s_min, coeffs = _random_box(r, k, data.draw(st.booleans()), rng)
         scattered += bspline.eval_expansion(r, k, s_min, coeffs, X)
         K, P = bspline._integer_knots(r, k, s_min, coeffs)
-        mats, cols = zip(*(quasi_interp.collocation_matrix(r, Ki, ax)
-                           for Ki, ax in zip(K, axes)))
-        lattice += quasi_interp.contract(P[np.ix_(*cols)], mats)
+        mats, window = zip(*(quasi_interp.collocation_matrix(r, Ki, ax)
+                             for Ki, ax in zip(K, axes)))
+        lattice += quasi_interp.contract(P[window], mats)
     assert lattice.reshape(-1).tobytes() == scattered.tobytes()
 
 

@@ -225,6 +225,31 @@ def test_export_rule_golden_bytes(argv, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+README_INI = MIXED_INI.replace("r = 2", "r = 4").replace(
+    "budgets = 4,10,26,53", "budgets = 100,300,1000,3000")
+
+# sha256 of the stdout of the README config: any value that moves by one
+# ulp changes these bytes
+GOLDEN_README = [
+    ("recover",
+     "e12cd2938fd9ac433fc5e9895cfa3a4e01e3c7f4ceb8246d13155bed5cf01f7c"),
+    ("integrate",
+     "390f23bb95aad143836938c44c3c8a8771f193c2f790bc712ff5d7e51caff6df"),
+    ("gridinfo",
+     "936b2d05fd358cb699f9f2617b741fe4c1ce20d33d3365bd81019f67f4f5f0a9"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_README,
+                         ids=[c for c, _ in GOLDEN_README])
+def test_readme_config_golden_bytes(tmp_path, command, digest):
+    path = tmp_path / "config.ini"
+    path.write_text(README_INI)
+    res = run_cli(command, "-c", str(path))
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("argv", [
     ["export-rule", "--set=sweep.xi={}"],
@@ -435,6 +460,21 @@ def test_exit_2_bad_comparison_set(capsys, family, setting):
     out = capsys.readouterr()
     assert out.out == ""
     assert "config error" in out.err and setting.split("=")[0] in out.err
+
+
+def test_exit_2_degenerate_level_set(capsys):
+    # alpha + beta - gamma = 1e-12: every budget used to read as below the
+    # minimal grid (exit 3), as the set at xi = 0 held 10^3 levels per axis
+    from sgqi import cli
+
+    assert cli.main(["gridinfo", "--set=problem.family=energy",
+                     "--set=problem.d=2", "--set=problem.r=2",
+                     "--set=problem.p=2", "--set=problem.theta=2",
+                     "--set=problem.q=2", "--set=problem.alpha=0.6",
+                     "--set=problem.beta=1e-12", "--set=problem.gamma=0.6",
+                     "--set=sweep.budgets=100"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "degenerate" in out.err
 
 
 def test_exit_3_budget_below_minimal(mixed_cfg):

@@ -194,6 +194,19 @@ def test_xi_for_budget_rate_near_zero():
         assert make(xi).budget() <= n < make(above).budget()
 
 
+def test_degenerate_unit_step_is_rejected():
+    # alpha + beta - gamma = 1e-12 is below the tolerance 1e-9 of xi, so
+    # the set at xi = 0 would hold every level up to depth 1000 per axis
+    spec = grids.SmoothnessSpec(d=4, r=2, p=2.0, theta=2.0, q=2.0,
+                                kind="hybrid", alpha=0.6, beta=1e-12,
+                                gamma=0.6)
+    make = lambda xi: grids.delta_energy(xi, spec, False)
+    with pytest.raises(ValueError, match="degenerate"):
+        make(0.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        grids.xi_for_budget(100, make)
+
+
 def _xi_cases():
     """(make_delta, d, b, c) of every family: mixed at d = 1..5 in both
     classes, hybrid with beta > 0 and beta < 0 (c < 0), energy (c < 0)

@@ -384,3 +384,11 @@ def test_chain_matrix_stacks_the_level_products(r):
             for j in range(m + 1):
                 want = qi.surplus_matrix(r, j)[0] @ T[::1 << (m - j)]
                 assert same_bits(got[first[j]:first[j + 1]], want), (m, j)
+
+
+def test_coarse_axis_window_spans_unreached_knots():
+    # 1 and 0 on 2^3 + 4 padded coefficients reach 8..11 and 0..3: the
+    # window holds them and the unreached 4..7, each row in knot order
+    table, window = qi.collocation_matrix(4, 3, np.array([1.0, 0.0]))
+    assert window == slice(0, 12) and table.shape == (2, 12)
+    assert table.indices.tolist() == [8, 9, 10, 11, 0, 1, 2, 3]

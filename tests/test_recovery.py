@@ -430,6 +430,49 @@ def test_lattice_matches_flattened_batch(delta, r, seed, data):
     assert np.array_equal(got.reshape(-1), flat)
 
 
+def _scrambled_axis(draw, rng):
+    """An unsorted lattice axis that repeats a coordinate: random points,
+    or a few coarse ones that leave most knots of a fine box unreached."""
+    if draw(st.booleans()):
+        axis = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                      min_size=1, max_size=3)))
+    else:
+        axis = rng.random(draw(st.integers(1, 5)))
+    return rng.permutation(np.concatenate([axis, axis[:1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.data())
+def test_scrambled_lattice_matches_batch(delta, r, seed, data):
+    rng = np.random.default_rng(seed)
+    rec = _random_reconstruction(delta, r, rng)
+    axes = [_scrambled_axis(data.draw, rng) for _ in range(delta.d)]
+    X = np.stack([g.reshape(-1) for g in
+                  np.meshgrid(*axes, indexing="ij")], axis=1)
+    got = recovery.evaluate_lattice(rec, axes)
+    assert got.reshape(-1).tobytes() == \
+        recovery.evaluate_batch(rec, X).tobytes()
+
+
+def test_boxes_are_built_once_per_reconstruction(monkeypatch):
+    rec = recovery.build(smooth2, grids.delta_mixed(4.0, MIXED), 3)
+    built = []
+
+    def spy(rec, real=recovery._level_groups):
+        built.append(rec)
+        return real(rec)
+
+    monkeypatch.setattr(recovery, "_level_groups", spy)
+    X = np.random.default_rng(2).random((30, 2))
+    first = recovery.evaluate_batch(rec, X)
+    assert recovery.evaluate_batch(rec, X).tobytes() == first.tobytes()
+    assert recovery.evaluate(rec, X[0]) == first[0]
+    assert recovery.evaluate_lattice(rec, [X[:5, 0], X[:1, 1]]).shape \
+        == (5, 1)
+    assert len(built) == 1 and built[0] is rec
+
+
 def test_roundtrip_serialization(tmp_path):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     path = tmp_path / "rec.json"
