@@ -16,13 +16,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import os
 import sys
 
 import numpy as np
+
+try:  # CPython's builtin SHA-256: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # before Python 3.12
+    except ImportError:  # built without it, as some FIPS interpreters are
+        from hashlib import sha256
 
 from . import analysis, cubature, grids, recovery
 
@@ -83,7 +90,7 @@ def _config_hash(cfg: dict) -> str:
     # provenance covers what was computed, not where it was written
     experiment = {sec: cfg[sec] for sec in ("problem", "sweep")}
     canon = json.dumps(experiment, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return sha256(canon.encode()).hexdigest()[:12]
 
 
 def _need(cfg, sec, key):
@@ -159,13 +166,17 @@ def _experiment(cfg) -> tuple:
     return spec, family, make
 
 
-def _budget_sweep(cfg, make_delta):
+def _budgets(cfg):
     budgets = [_as_int(tok, "sweep.budgets") for tok in
                _need(cfg, "sweep", "budgets").split(",") if tok.strip()]
     if not budgets or any(b <= 0 for b in budgets):
         raise ConfigError("sweep.budgets must be positive integers")
+    return budgets
+
+
+def _budget_sweep(cfg, make_delta):
     out = []
-    for n in budgets:
+    for n in _budgets(cfg):
         xi = grids.xi_for_budget(n, make_delta)
         out.append((n, xi, make_delta(xi)))
     return out
@@ -175,6 +186,8 @@ def _corpus_selection(cfg, spec):
     funcs = analysis.corpus(spec.d, spec.r, spec)
     wanted = [tok.strip() for tok in cfg["sweep"]["corpus"].split(",")
               if tok.strip()]
+    if not wanted:
+        raise ConfigError("sweep.corpus names no function")
     by_label = {tf.label: tf for tf in funcs}
     sel = []
     for label in wanted:
@@ -245,8 +258,8 @@ def _sweep_command(cfg, integrate: bool):
     predicted = -nu
     h = _config_hash(cfg)
     ekw = _error_kwargs(cfg, spec)
-    sweep = _budget_sweep(cfg, make_delta)
     funcs = _corpus_selection(cfg, spec)
+    sweep = _budget_sweep(cfg, make_delta)
     rows = []
     dats = {}
     rules = {}
@@ -265,10 +278,12 @@ def _sweep_command(cfg, integrate: bool):
                 err = analysis.discrete_lq_error(tf.handle, rec, **ekw)
                 n_samples = rec.sample_budget
             pts.append((n_samples, err))
-            try:  # too few points, a zero error or a plateau leave it empty
-                slope = analysis.fit_rate(pts).slope
-            except ValueError:
-                slope = ""
+            slope = ""
+            if tf.label != "poly":  # exact: its errors are rounding noise
+                try:  # too few points, a zero error or a plateau: left empty
+                    slope = analysis.fit_rate(pts).slope
+                except ValueError:
+                    pass
             rows.append([delta.family, tf.label, n, xi, delta.budget(),
                          n_samples, err, slope, predicted, h])
         dats[tf.label] = pts
@@ -283,6 +298,8 @@ def cmd_compare(cfg):
     h = _config_hash(cfg)
     xis = [_finite_xi(tok) for tok in _need(cfg, "sweep", "xi").split(",")
            if tok.strip()]
+    if not xis:
+        raise ConfigError("sweep.xi names no value")
     rows = []
     for xi in xis:
         aniso = make_delta(xi)
@@ -303,8 +320,7 @@ def _single_xi(cfg, make_delta):
     if sw.get("xi"):
         return _finite_xi(sw["xi"])
     if sw.get("budgets"):
-        n = _as_int(sw["budgets"].split(",")[0], "sweep.budgets")
-        return grids.xi_for_budget(n, make_delta)
+        return grids.xi_for_budget(_budgets(cfg)[0], make_delta)
     raise ConfigError("need sweep.xi or sweep.budgets")
 
 

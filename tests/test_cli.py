@@ -232,9 +232,9 @@ README_INI = MIXED_INI.replace("r = 2", "r = 4").replace(
 # ulp changes these bytes
 GOLDEN_README = [
     ("recover",
-     "e12cd2938fd9ac433fc5e9895cfa3a4e01e3c7f4ceb8246d13155bed5cf01f7c"),
+     "09353a9b5a61abf4aded8e416d620bbd73df348d50928db913a827f0f27332de"),
     ("integrate",
-     "390f23bb95aad143836938c44c3c8a8771f193c2f790bc712ff5d7e51caff6df"),
+     "f0d0a9d56e08d724437091fa613aef0343aa34a41cec8db17292e28a89e8266c"),
     ("gridinfo",
      "936b2d05fd358cb699f9f2617b741fe4c1ce20d33d3365bd81019f67f4f5f0a9"),
 ]
@@ -248,6 +248,22 @@ def test_readme_config_golden_bytes(tmp_path, command, digest):
     res = run_cli(command, "-c", str(path))
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["recover", "integrate"])
+def test_poly_rows_fit_no_slope(tmp_path, capsys, command):
+    # poly is reproduced exactly, so a slope fitted to its rounding-level
+    # errors (0.347 on the integrate row at budget 3000) means nothing
+    from sgqi import cli
+
+    path = tmp_path / "config.ini"
+    path.write_text(README_INI)
+    assert cli.main([command, "-c", str(path)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    slope = header.index("slope_so_far")
+    assert [r[slope] for r in rows if r[1] == "poly"] == [""] * 4
+    assert all(r[slope] != "" for r in rows if r[1] != "poly"
+               and r[2] == "3000")
 
 
 @pytest.mark.parametrize("xi", ["nan", "inf", "-1"])
@@ -477,6 +493,59 @@ def test_exit_2_degenerate_level_set(capsys):
     assert out.out == "" and "degenerate" in out.err
 
 
+@pytest.mark.parametrize("budgets", ["0", "-5", "100,-1", "abc", " , "])
+@pytest.mark.parametrize("command", ["export-rule", "dump-grid"])
+def test_exit_2_bad_single_budget(mixed_cfg, capsys, command, budgets):
+    # these parsed only the first budget: 0 and -5 exited 3 as below the
+    # minimal grid, 100,-1 ran on 100
+    from sgqi import cli
+
+    assert cli.main([command, "-c", mixed_cfg,
+                     f"--set=sweep.budgets={budgets}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and "sweep.budgets" in out.err
+
+
+@pytest.mark.parametrize("command", ["export-rule", "dump-grid"])
+def test_single_budget_skips_blanks_like_sweeps(mixed_cfg, capsys, command):
+    # ",100" was "not an integer: ''" here while integrate accepted it
+    from sgqi import cli
+
+    assert cli.main([command, "-c", mixed_cfg, "--set=sweep.budgets=100"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main([command, "-c", mixed_cfg,
+                     "--set=sweep.budgets=,100, 26"]) == 0
+    assert capsys.readouterr().out == want != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--set=sweep.corpus="],
+    ["recover", "--set=sweep.corpus= , "],
+    ["integrate", "--set=sweep.corpus="],
+    ["integrate", "--set=sweep.corpus= , "],
+    ["compare", "--set=problem.family=hybrid", "--set=problem.alpha=1.5",
+     "--set=problem.beta=-0.5", "--set=sweep.xi="],
+    ["compare", "--set=problem.family=hybrid", "--set=problem.alpha=1.5",
+     "--set=problem.beta=-0.5", "--set=sweep.xi= , "],
+], ids=["recover", "recover-commas", "integrate", "integrate-commas",
+        "compare", "compare-commas"])
+def test_exit_2_empty_list(mixed_cfg, capsys, monkeypatch, argv):
+    # an empty corpus or xi list printed the header alone and exited 0
+    from sgqi import cli, grids
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("level sets enumerated before the list check")
+
+    monkeypatch.setattr(grids, "xi_for_budget", unexpected)
+    monkeypatch.setattr(grids, "comparison_sets", unexpected)
+    assert cli.main([argv[0], "-c", mixed_cfg, *argv[1:]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    key = argv[-1].split("=")[1]
+    assert "config error" in out.err and key in out.err
+
+
 def test_exit_3_budget_below_minimal(mixed_cfg):
     res = run_cli("gridinfo", "-c", mixed_cfg, "--set", "sweep.budgets=1")
     assert res.returncode == 3
@@ -505,11 +574,49 @@ def test_hash_tracks_experiment_not_output(mixed_cfg, tmp_path):
     assert h(base) != h(changed)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"problem": {}, "sweep": {}},
+    {"problem": {"family": "mixed", "d": "2", "a": "1,2"},
+     "sweep": {"budgets": "100,300", "corpus": "poly"},
+     "output": {"path": "-"}},
+    {"problem": {"family": "énergie", "gamma": "½"},
+     "sweep": {"xi": "2", "note": "Ωmega – 試験 🙂"}},
+], ids=["empty", "readme-like", "non-ascii"])
+def test_config_hash_is_sha256_of_experiment(cfg):
+    from sgqi import cli
+
+    experiment = {sec: cfg[sec] for sec in ("problem", "sweep")}
+    canon = json.dumps(experiment, sort_keys=True).encode()
+    assert cli._config_hash(cfg) == hashlib.sha256(canon).hexdigest()[:12]
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # an interpreter built without the builtin SHA-256 module, as some FIPS
+    # distributions are, hashes through hashlib to the same digest
+    code = textwrap.dedent("""\
+        import hashlib, sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        from sgqi import cli
+        assert cli.sha256 is hashlib.sha256
+        cfg = {"problem": {"family": "énergie"}, "sweep": {"xi": "2"}}
+        print(cli._config_hash(cfg))
+        """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    canon = json.dumps({"problem": {"family": "énergie"},
+                        "sweep": {"xi": "2"}}, sort_keys=True).encode()
+    assert res.stdout == hashlib.sha256(canon).hexdigest()[:12] + "\n"
+
+
 def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     # scipy is slow to import: sgqi.cli and the commands that build no
     # reconstruction run on numpy alone; recover loads scipy.sparse for the
     # first table product with a tensor, but Halton and Monte Carlo error
-    # estimation never load scipy.stats
+    # estimation never load scipy.stats.  The row hash comes from CPython's
+    # builtin SHA-256, so those commands never map OpenSSL's libcrypto
+    # (_hashlib) either; recover is exempt, as scipy.sparse imports
+    # numpy.random, which imports hashlib
     commands = [
         ["integrate", "-c", mixed_cfg],
         ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
@@ -524,13 +631,14 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     out = str(tmp_path / "out")
     code = textwrap.dedent(f"""\
         import sys, sgqi.cli
-        scipy = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
-        stats = lambda: [m for m in scipy() if m.split(".")[:2] == ["scipy",
+        heavy = lambda: [m for m in sys.modules
+                         if m.split(".")[0] in ("scipy", "_hashlib")]
+        stats = lambda: [m for m in heavy() if m.split(".")[:2] == ["scipy",
                                                                      "stats"]]
-        print(scipy())
+        print(heavy())
         for argv in {commands!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(scipy())
+            print(heavy())
         for argv in {recover!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
             print(stats())
