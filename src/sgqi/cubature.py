@@ -71,12 +71,17 @@ def _level_weights(r: int, k: tuple) -> np.ndarray:
 
 def assemble_weights(delta: LevelSet, r: int) -> CubatureRule:
     """Accumulate per-point cubature weights over all levels of the set,
-    scattering each level's node weights onto the distinct grid points."""
+    in the order of delta.levels, adding each level's node weights onto
+    the rows of its nodes: level (j, rest) is the axis-0 stride 2^(m - j)
+    of its chain top's tensor of row numbers (SampleGrid._chain_tensors).
+    """
     bspline._check_order(r)
     grid = sample_grid(delta)
+    tops = {rest: (m, T) for rest, m, T in grid._chain_tensors()}
     weights = np.zeros(grid.distinct_points)
     for k in delta.levels:
-        np.add.at(weights, grid.positions(k), _level_weights(r, k).reshape(-1))
+        m, T = tops[k[1:]]
+        weights[T[:: 1 << (m - k[0])]] += _level_weights(r, k)
     return CubatureRule(r=r, d=delta.d, delta=delta, grid=grid,
                         weights=weights, budget=delta.budget())
 

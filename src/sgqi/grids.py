@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -483,11 +484,15 @@ class SampleGrid:
     the finest per-axis lattice, K = delta.max_level(), packed in C order
     over dims 2^{K_i} + 1 into one int64 id.  ids holds every distinct
     point once, sorted, so row order is lexicographic coordinate order.
+    sample_grid makes the points as one block of new points per axis-0
+    chain, in chains order; point i of those blocks concatenated is row
+    rows[i], and node tensors are gathered through them by chain.
     """
 
     delta: LevelSet
     K: tuple
     ids: np.ndarray
+    rows: np.ndarray
 
     @property
     def distinct_points(self) -> int:
@@ -495,10 +500,47 @@ class SampleGrid:
 
     def positions(self, k) -> np.ndarray:
         """Row of every node of the full level-k lattice, in C order of the
-        node tensor; k must be a level of the set."""
-        axes = [np.arange((1 << ki) + 1, dtype=np.int64) << (Ki - ki)
-                for ki, Ki in zip(k, self.K)]
-        return np.searchsorted(self.ids, _pack(axes, self.K))
+        node tensor: axis-0 stride 2^(m - k_0) of its chain top's tensor of
+        row numbers.  ValueError unless k is a level of the set."""
+        k = tuple(k)
+        if k not in self.delta:
+            raise ValueError(f"level {k!r} is not in the set")
+        for rest, m, T in self._chain_tensors():
+            if rest == k[1:]:
+                return T[:: 1 << (m - k[0])].astype(np.intp).reshape(-1)
+
+    def _chain_tensors(self):
+        """Yield (rest, m, T) per chain of chains(delta.levels), in its
+        order: T holds the row of every node of the chain top (m,) + rest,
+        in the shape of its node tensor.
+
+        Off axis 0 a node is new at rest where it is odd on every nonzero
+        axis; those nodes are the chain's own block.  The nodes even on a
+        nonzero axis i are the tensor of the parent chain rest - e_i, whose
+        top m_i >= m, at axis-0 stride 2^(m_i - m).  Parents sort before
+        their children, and each is dropped once its last child is made."""
+        tops = chains(self.delta.levels)
+        parents = {rest: [(i, rest[:i] + (ki - 1,) + rest[i + 1:])
+                          for i, ki in enumerate(rest) if ki] for rest in tops}
+        children = Counter(p for ps in parents.values() for _, p in ps)
+        live, at = {}, 0
+        for rest, m in tops.items():
+            T = np.empty([(1 << m) + 1] + [(1 << ki) + 1 for ki in rest],
+                         dtype=self.rows.dtype)
+            own = T[(slice(None),) + tuple(slice(None) if ki == 0 else
+                                           slice(1, None, 2) for ki in rest)]
+            own[...] = self.rows[at:at + own.size].reshape(own.shape)
+            at += own.size
+            for i, parent in parents[rest]:
+                P, mp = live[parent]
+                T[(slice(None),) * (i + 1) + (slice(None, None, 2),)] = \
+                    P[:: 1 << (mp - m)]
+                children[parent] -= 1
+                if not children[parent]:
+                    del live[parent]
+            if children[rest]:
+                live[rest] = T, m
+            yield rest, m, T
 
     def lattice(self) -> np.ndarray:
         """(npts, d) integer coordinates on the finest per-axis lattice."""
@@ -522,15 +564,19 @@ def chains(levels) -> dict:
 
 def sample_grid(delta: LevelSet) -> SampleGrid:
     """Distinct points of the grid of a nonempty downward-closed level set
-    of d nonnegative entries per level; ValueError otherwise.
+    of distinct levels of d nonnegative entries each; ValueError otherwise.
 
     The new points of level k (odd numerators where k_i >= 1, the two
     endpoints where k_i = 0) partition the grid, so collecting them needs
     no deduplication.  Along axis 0 the new points of a chain's levels
-    make up its top level's full lattice, so each chain is one block.
+    make up its top level's full lattice, so each chain is one block, in
+    C order over the chain top's axis-0 nodes and its new nodes off axis 0.
+    The blocks are kept as the row of each of their points.
     """
     if not delta.levels:
         raise ValueError("level set has no levels")
+    if len(delta._index) != len(delta.levels):
+        raise ValueError("a level appears twice")
     if not delta.is_downward_closed():
         raise ValueError("level set must be downward closed")
     K = delta.max_level()
@@ -544,4 +590,10 @@ def sample_grid(delta: LevelSet) -> SampleGrid:
                  np.arange(1, 1 << ki, 2, dtype=np.int64) << (Ki - ki)
                  for ki, Ki in zip(rest, K[1:])]
         parts.append(_pack(axes, K))
-    return SampleGrid(delta=delta, K=K, ids=np.sort(np.concatenate(parts)))
+    ids = np.concatenate(parts)
+    order = np.argsort(ids, kind="stable")  # merges the blocks' sorted runs
+    # the smallest unsigned type of the row numbers: a CubatureRule keeps
+    # its grid, and chain tensors of rows are live while build walks
+    rows = np.empty(len(order), dtype=np.min_scalar_type(len(order)))
+    rows[order] = np.arange(len(order))
+    return SampleGrid(delta=delta, K=K, ids=ids[order], rows=rows)

@@ -71,11 +71,13 @@ def build_from_samples(values, delta: LevelSet, r: int) -> Reconstruction:
 
 
 def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
-    """Per axis-0 chain, one contract of the level-(m, rest) nodes: off
-    axis 0 by the surplus tables of rest, then along it by the stacked
-    tables of levels (0..m, rest); level j's coefficients are its row
-    block.  As contract applies axis 0 last and a table treats each
-    column alone, every level is bitwise q_level's."""
+    """Per axis-0 chain, one contract of the samples at the level-(m, rest)
+    nodes, whose rows grid._chain_tensors assembles from the chain's own
+    block and its parents' tensors: off axis 0 by the surplus tables of
+    rest, then along it by the stacked tables of levels (0..m, rest);
+    level j's coefficients are its row block.  As contract applies axis 0
+    last and a table treats each column alone, every level is bitwise
+    q_level's."""
     delta = grid.delta
     vals = np.array(values, dtype=float)  # owned, so it can be frozen
     if vals.shape != (grid.distinct_points,):
@@ -87,11 +89,9 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     vals.flags.writeable = False
     lo = bspline.shift_bounds(r, 0)[0]  # the first shift of every level
     built = {}
-    for rest, m in chains(delta.levels).items():
-        top = (m,) + rest
-        T = vals[grid.positions(top)].reshape([(1 << ki) + 1 for ki in top])
+    for rest, m, T in grid._chain_tensors():
         W, first = _chain_matrix(r, m)
-        T = contract(T, [W] + [surplus_matrix(r, ki)[0] for ki in rest])
+        T = contract(vals[T], [W] + [surplus_matrix(r, ki)[0] for ki in rest])
         for j in range(m + 1):
             built[(j,) + rest] = SurplusLevel(
                 k=(j,) + rest, s_min=(lo,) * delta.d,
@@ -257,8 +257,6 @@ def from_json_dict(obj: dict) -> Reconstruction:
         raise ValueError(f"family must be a string, not {family!r}")
     delta = LevelSet(d=d, levels=tuple(map(tuple, levels)), xi=xi,
                      family=family)
-    if len(set(delta.levels)) != len(levels):
-        raise ValueError("a level appears twice")
     if not (isinstance(samples, list)
             and all(type(v) is float for v in samples)):  # as save writes
         raise ValueError("samples must be a list of floats")

@@ -10,8 +10,9 @@ boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
 here as their references: the depth-first level search with a bisection
-per budget, the np.moveaxis axis product, the per-level evaluation kernel
-(it calls the package's single-level bspline.eval_expansion),
+per budget, the search of a level's node ids in the sorted grid ids, the
+np.moveaxis axis product, the per-level evaluation kernel (it calls the
+package's single-level bspline.eval_expansion),
 centered_expansion, the half-integer candidate kernel that was
 bspline.eval_expansion before the integer-knot one and is now its
 reference, and the pointwise tensor spline (both value eval_centered).
@@ -344,6 +345,16 @@ def dyadic_point_set(levels) -> list:
 
 def distinct_dyadic_points(levels) -> int:
     return len(dyadic_point_set(levels))
+
+
+def searchsorted_positions(grid, k) -> np.ndarray:
+    """Rows of the level-k nodes of grid, in C order of the node tensor:
+    each node's coordinates on the finest lattice packed into an id and
+    looked up in the sorted grid ids."""
+    axes = [np.arange((1 << ki) + 1) << (Ki - ki) for ki, Ki in zip(k, grid.K)]
+    ids = np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"),
+                               [(1 << Ki) + 1 for Ki in grid.K])
+    return np.searchsorted(grid.ids, ids.reshape(-1))
 
 
 def dict_weights(levels, level_weights):

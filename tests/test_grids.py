@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgqi import cubature, grids
+from sgqi import cubature, grids, recovery
 from oracles import (bisection_xi_for_budget, box_scan_levels, dfs_set,
                      dict_weights, distinct_dyadic_points, dyadic_point_set,
-                     level_lattice, xi_scan)
+                     level_lattice, searchsorted_positions, xi_scan)
 
 
 MIXED = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
@@ -407,6 +407,22 @@ def test_level_point_keys_roundtrip():
     assert coords[5] == (0.5, 0.0)
 
 
+def test_positions_rejects_level_outside_set():
+    # the centre (0.5, 0.5) is no grid point; searching for it gave row 4
+    delta = grids.LevelSet(d=2, levels=((0, 0), (0, 1), (1, 0)), xi=0.0,
+                           family="t")
+    sg = grids.sample_grid(delta)
+    for k in [(1, 1), (2, 0), (0, 2), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="not in the set"):
+            sg.positions(k)
+
+
+def _assert_positions_match_search(delta):
+    sg = grids.sample_grid(delta)
+    for k in delta.levels:
+        assert np.array_equal(sg.positions(k), searchsorted_positions(sg, k))
+
+
 def test_sample_grid_counts():
     delta = grids.delta_mixed(3.0, MIXED)
     sg = grids.sample_grid(delta)
@@ -446,6 +462,12 @@ def test_point_identity_matches_oracles(delta, r):
                               lambda k: cubature._level_weights(r, k))
     assert keys == pts
     assert np.array_equal(rule.weights, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets())
+def test_positions_match_searchsorted_reference(delta):
+    _assert_positions_match_search(delta)
 
 
 @st.composite
@@ -488,6 +510,15 @@ def test_axis_0_leaves_fewest_chains(family):
     assert counts[0] == min(counts) == len(grids.chains(delta.levels))
 
 
+@settings(max_examples=30, deadline=None)
+@given(family_sets())
+def test_family_positions_match_searchsorted_reference(family):
+    # each positions call walks the chains, so the budget is kept small
+    make, n = family
+    _assert_positions_match_search(make(grids.xi_for_budget(min(n, 3000),
+                                                            make)))
+
+
 def test_sample_grid_rejects_int64_overflow():
     # finest lattice (2^8 + 1)^8 > 2^63 although the grid itself is tiny
     d = 8
@@ -508,9 +539,23 @@ def test_sample_grid_rejects_empty_level_set():
 
 
 @pytest.mark.parametrize("d,levels,match", [
-    (1, ((-1,), (0,)), "negative"), (2, ((0,), (0, 1)), "1 entries, not 2")])
+    (1, ((-1,), (0,)), "negative"), (2, ((0,), (0, 1)), "1 entries, not 2"),
+    (1, ((0,), (1,), (1,)), "appears twice")])
 def test_sample_grid_rejects_malformed_levels(d, levels, match):
     # a negative level gave a silent two-point grid, a short one IndexError
     delta = grids.LevelSet(d=d, levels=levels, xi=0.0, family="t")
     with pytest.raises(ValueError, match=match):
         grids.sample_grid(delta)
+
+
+@pytest.mark.parametrize("call", [
+    lambda delta: cubature.assemble_weights(delta, 4),
+    lambda delta: recovery.build(lambda X: X[:, 0] ** 3, delta, 4),
+    lambda delta: recovery.build_from_samples([0.0, 0.5, 1.0], delta, 4)],
+    ids=["assemble_weights", "build", "build_from_samples"])
+def test_repeated_level_fails_loudly(call):
+    # the weights of (1,) were added twice: x^3 integrated to -2.8e-17
+    delta = grids.LevelSet(d=1, levels=((0,), (1,), (1,)), xi=0.0,
+                           family="box")
+    with pytest.raises(ValueError, match="appears twice"):
+        call(delta)

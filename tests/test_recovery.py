@@ -342,6 +342,19 @@ def test_chain_build_is_bitwise_per_level(delta, r, seed):
     assert sg.ids.tolist() == want
 
 
+def test_chain_build_is_bitwise_per_level_d5():
+    # three off-axes reach depth 2, so the walk drops parents midway
+    make = lambda xi: grids.delta_mixed(xi, MIXED_D5)
+    delta = make(grids.xi_for_budget(3000, make))
+    assert sum(Ki >= 2 for Ki in delta.max_level()[1:]) >= 3
+    f = _rational(np.random.default_rng(5).uniform(0.5, 3.0, 5))
+    rec = recovery.build(f, delta, MIXED_D5.r)
+    for k in delta.levels:
+        want = qi.q_level(f, MIXED_D5.r, k)
+        assert rec.surplus[k].s_min == want.s_min
+        assert rec.surplus[k].coeffs.tobytes() == want.coeffs.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_reconstruction_is_linear_in_f(delta, r, seed):
