@@ -26,7 +26,6 @@ the same floating-point operations.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -87,15 +86,16 @@ _PIECES = {
 @lru_cache(maxsize=None)
 def _clipped_integrals(r: int) -> np.ndarray:
     """T[a, b], the integral of N_r over [a/2, b/2] for 0 <= a <= b <= 2r:
-    the pieces integrated exactly in Fractions at the half-integers, each
-    difference rounded once."""
-    F = [Fraction(0)]  # antiderivative of N_r at 0, 1/2, ..., r
+    the pieces integrated exactly at the half-integers, as integer
+    numerators over lcm(1..r) 2^r (r-1)!, each difference divided once."""
+    L = math.lcm(*range(1, r + 1))
+    F = [0]  # numerators of the antiderivative of N_r at 0, 1/2, ..., r
     for j in reversed(range(r)):  # piece j is N_r on [r - 1 - j, r - j)
-        start = F[-1]
-        F += [start + sum(c * u ** (r - i) / (r - i)
+        F += [F[-1] + sum(c * L // (r - i) << (i if half else r)
                           for i, c in enumerate(_PIECES[r][j]))
-              / math.factorial(r - 1) for u in (Fraction(1, 2), Fraction(1))]
-    return np.array([[float(b - a) for b in F] for a in F])
+              for half in (True, False)]
+    F = np.array(F)
+    return (F - F[:, None]) / ((L << r) * math.factorial(r - 1))
 
 
 @lru_cache(maxsize=None)

@@ -145,7 +145,8 @@ class SmoothnessSpec:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Finite downward-closed set of level vectors with its defining xi.
+    """Finite set of distinct level vectors of d nonnegative entries each
+    (else ValueError) with its defining xi; see is_downward_closed.
 
     A set enumerated from a functional also holds, per level, its value
     phi and its gate, the largest functional value compared on the
@@ -161,6 +162,16 @@ class LevelSet:
     family: str
     phi: tuple = ()
     gate: tuple = ()
+
+    def __post_init__(self):
+        if set(map(len, self.levels)) - {self.d}:
+            k = next(k for k in self.levels if len(k) != self.d)
+            raise ValueError(f"level {k!r} has {len(k)} entries, not {self.d}")
+        if min(itertools.chain.from_iterable(self.levels), default=0) < 0:
+            k = next(k for k in self.levels if min(k) < 0)
+            raise ValueError(f"level {k!r} has a negative entry")
+        if len(self._index) != len(self.levels):
+            raise ValueError("a level appears twice")
 
     @cached_property
     def _index(self):
@@ -210,20 +221,13 @@ class LevelSet:
                      for i in range(self.d))
 
     def is_downward_closed(self) -> bool:
-        """Whether every level's lower neighbours are levels too;
-        ValueError if a level has other than d entries or a negative one."""
-        for k in self.levels:
-            if len(k) != self.d:
-                raise ValueError(f"level {k!r} has {len(k)} entries, "
-                                 f"not {self.d}")
-            for i in range(self.d):
-                if k[i] > 0:
-                    below = k[:i] + (k[i] - 1,) + k[i + 1 :]
-                    if below not in self._index:
-                        return False
-                elif k[i] != 0:
-                    raise ValueError(f"level {k!r} has a negative entry")
-        return True
+        """Whether every level's lower neighbours are levels too: each chain
+        holds m + 1 levels (it runs 0..m), and the chain one step lower on
+        each nonzero axis off axis 0 reaches at least m."""
+        tops = chains(self.levels)
+        return sum(tops.values()) + len(tops) == len(self.levels) and all(
+            tops.get(rest[:i] + (ki - 1,) + rest[i + 1:], -1) >= m
+            for rest, m in tops.items() for i, ki in enumerate(rest) if ki)
 
     def issubset(self, other: "LevelSet") -> bool:
         return self._index <= other._index
@@ -498,17 +502,6 @@ class SampleGrid:
     def distinct_points(self) -> int:
         return len(self.ids)
 
-    def positions(self, k) -> np.ndarray:
-        """Row of every node of the full level-k lattice, in C order of the
-        node tensor: axis-0 stride 2^(m - k_0) of its chain top's tensor of
-        row numbers.  ValueError unless k is a level of the set."""
-        k = tuple(k)
-        if k not in self.delta:
-            raise ValueError(f"level {k!r} is not in the set")
-        for rest, m, T in self._chain_tensors():
-            if rest == k[1:]:
-                return T[:: 1 << (m - k[0])].astype(np.intp).reshape(-1)
-
     def _chain_tensors(self):
         """Yield (rest, m, T) per chain of chains(delta.levels), in its
         order: T holds the row of every node of the chain top (m,) + rest,
@@ -563,8 +556,8 @@ def chains(levels) -> dict:
 
 
 def sample_grid(delta: LevelSet) -> SampleGrid:
-    """Distinct points of the grid of a nonempty downward-closed level set
-    of distinct levels of d nonnegative entries each; ValueError otherwise.
+    """Distinct points of the grid of a nonempty downward-closed level
+    set; ValueError otherwise.
 
     The new points of level k (odd numerators where k_i >= 1, the two
     endpoints where k_i = 0) partition the grid, so collecting them needs
@@ -575,8 +568,6 @@ def sample_grid(delta: LevelSet) -> SampleGrid:
     """
     if not delta.levels:
         raise ValueError("level set has no levels")
-    if len(delta._index) != len(delta.levels):
-        raise ValueError("a level appears twice")
     if not delta.is_downward_closed():
         raise ValueError("level set must be downward closed")
     K = delta.max_level()

@@ -229,9 +229,9 @@ def to_json_dict(rec: Reconstruction) -> dict:
 def from_json_dict(obj: dict) -> Reconstruction:
     """Reconstruction rebuilt from a dump by build_from_samples; ValueError
     unless d is an integer >= 1, r one of bspline.ORDERS, xi a finite
-    number, family a string, the levels a nonempty, duplicate-free and
-    downward closed list of d nonnegative integers each, and the samples
-    one finite float per grid point."""
+    number, family a string, the levels a list of lists of integers that
+    LevelSet and sample_grid take, and the samples one finite float per
+    grid point."""
     if obj.get("format") != _FORMAT:
         raise ValueError("not a reconstruction dump")
     if obj.get("version") != _VERSION:
@@ -243,12 +243,11 @@ def from_json_dict(obj: dict) -> Reconstruction:
         raise ValueError(f"d must be an integer >= 1, not {d!r}")
     if not (type(r) is int and r in bspline.ORDERS):
         raise ValueError(f"r must be one of {bspline.ORDERS}, not {r!r}")
-    if not (isinstance(levels, list) and levels):
-        raise ValueError("a dump needs at least one level")
+    if not isinstance(levels, list):
+        raise ValueError(f"levels must be a list, not {levels!r}")
     for k in levels:
-        if not (isinstance(k, list) and len(k) == d
-                and all(type(v) is int and v >= 0 for v in k)):
-            raise ValueError(f"level {k!r} is not {d} nonnegative integers")
+        if not (isinstance(k, list) and all(type(v) is int for v in k)):
+            raise ValueError(f"level {k!r} is not a list of integers")
     xi, family = obj.get("xi"), obj.get("family")
     # comparison, unlike math.isfinite, takes any int
     if not (type(xi) in (int, float) and -math.inf < xi < math.inf):

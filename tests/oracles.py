@@ -10,7 +10,8 @@ boundary-extended sampler, brute-force box scans for the level sets, a
 breakpoint scan for the budget inversion, and grid points identified by
 exact fractions.  The exceptions are the paths the package replaced, kept
 here as their references: the depth-first level search with a bisection
-per budget, the search of a level's node ids in the sorted grid ids, the
+per budget, the per-level walk of lower neighbours for downward closure,
+the search of a level's node ids in the sorted grid ids, the
 np.moveaxis axis product, the per-level evaluation kernel (it calls the
 package's single-level bspline.eval_expansion),
 centered_expansion, the half-integer candidate kernel that was
@@ -345,6 +346,14 @@ def dyadic_point_set(levels) -> list:
 
 def distinct_dyadic_points(levels) -> int:
     return len(dyadic_point_set(levels))
+
+
+def neighbour_walk_closed(levels) -> bool:
+    """Whether a set of distinct levels is downward closed: every lower
+    neighbour k - e_i (k_i > 0) of every level looked up in the set."""
+    index = set(levels)
+    return all(k[:i] + (k[i] - 1,) + k[i + 1:] in index
+               for k in levels for i in range(len(k)) if k[i] > 0)
 
 
 def searchsorted_positions(grid, k) -> np.ndarray:

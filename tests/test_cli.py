@@ -616,7 +616,9 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     # estimation never load scipy.stats.  The row hash comes from CPython's
     # builtin SHA-256, so those commands never map OpenSSL's libcrypto
     # (_hashlib) either; recover is exempt, as scipy.sparse imports
-    # numpy.random, which imports hashlib
+    # numpy.random, which imports hashlib.  Exact integrals are integer
+    # numerators, so no command, recover included, loads fractions or
+    # decimal
     commands = [
         ["integrate", "-c", mixed_cfg],
         ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
@@ -631,8 +633,10 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     out = str(tmp_path / "out")
     code = textwrap.dedent(f"""\
         import sys, sgqi.cli
-        heavy = lambda: [m for m in sys.modules
-                         if m.split(".")[0] in ("scipy", "_hashlib")]
+        exact = lambda: [m for m in sys.modules
+                         if m in ("fractions", "decimal")]
+        heavy = lambda: exact() + [m for m in sys.modules
+                                   if m.split(".")[0] in ("scipy", "_hashlib")]
         stats = lambda: [m for m in heavy() if m.split(".")[:2] == ["scipy",
                                                                      "stats"]]
         print(heavy())
@@ -641,7 +645,7 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
             print(heavy())
         for argv in {recover!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(stats())
+            print(stats() + exact())
         """)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sgqi import cubature, grids, recovery
 from oracles import (bisection_xi_for_budget, box_scan_levels, dfs_set,
                      dict_weights, distinct_dyadic_points, dyadic_point_set,
-                     level_lattice, searchsorted_positions, xi_scan)
+                     level_lattice, neighbour_walk_closed,
+                     searchsorted_positions, xi_scan)
 
 
 MIXED = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
@@ -397,7 +398,7 @@ def test_level_point_keys_roundtrip():
     delta = grids.LevelSet(d=2, levels=tuple(np.ndindex(2, 3)), xi=0.0,
                            family="box")
     sg = grids.sample_grid(delta)
-    keys = sg.positions((1, 2))
+    keys = _level_rows(sg)[(1, 2)]
     assert len(keys) == 3 * 5
     assert len(set(keys.tolist())) == 15
     coords = [tuple(p) for p in sg.coords()[keys].tolist()]
@@ -407,26 +408,27 @@ def test_level_point_keys_roundtrip():
     assert coords[5] == (0.5, 0.0)
 
 
-def test_positions_rejects_level_outside_set():
-    # the centre (0.5, 0.5) is no grid point; searching for it gave row 4
-    delta = grids.LevelSet(d=2, levels=((0, 0), (0, 1), (1, 0)), xi=0.0,
-                           family="t")
-    sg = grids.sample_grid(delta)
-    for k in [(1, 1), (2, 0), (0, 2), (0,), (0, 0, 0)]:
-        with pytest.raises(ValueError, match="not in the set"):
-            sg.positions(k)
+def _level_rows(sg) -> dict:
+    """{k: row of every node of the level-k lattice, in C order of its node
+    tensor} over the set: level (j,) + rest is the axis-0 stride 2^(m - j)
+    of the tensor of rows of its chain top (m,) + rest."""
+    return {(j,) + rest: T[:: 1 << (m - j)].reshape(-1)
+            for rest, m, T in sg._chain_tensors() for j in range(m + 1)}
 
 
 def _assert_positions_match_search(delta):
     sg = grids.sample_grid(delta)
+    rows = _level_rows(sg)
+    assert sorted(rows) == sorted(delta.levels)
     for k in delta.levels:
-        assert np.array_equal(sg.positions(k), searchsorted_positions(sg, k))
+        assert np.array_equal(rows[k], searchsorted_positions(sg, k))
 
 
 def test_sample_grid_counts():
     delta = grids.delta_mixed(3.0, MIXED)
     sg = grids.sample_grid(delta)
-    assert delta.budget() == sum(len(sg.positions(k)) for k in delta.levels)
+    rows = _level_rows(sg)
+    assert delta.budget() == sum(len(rows[k]) for k in delta.levels)
     pts = sg.coords()
     assert pts.shape == (delta.distinct_points(), 2)
     assert len(np.unique(pts, axis=0)) == len(pts)
@@ -454,9 +456,10 @@ def test_point_identity_matches_oracles(delta, r):
     # the multiply by powers of two is bitwise the former ldexp
     old = np.ldexp(sg.lattice().astype(float), -np.array(sg.K, np.int64))
     assert coords.dtype == old.dtype and coords.tobytes() == old.tobytes()
+    rows = _level_rows(sg)
     for k in delta.levels:
         nodes = [[float(v) for v in p] for p in level_lattice(k)]
-        assert np.array_equal(coords[sg.positions(k)], np.array(nodes))
+        assert np.array_equal(coords[rows[k]], np.array(nodes))
     rule = cubature.assemble_weights(delta, r)
     keys, want = dict_weights(delta.levels,
                               lambda k: cubature._level_weights(r, k))
@@ -513,7 +516,8 @@ def test_axis_0_leaves_fewest_chains(family):
 @settings(max_examples=30, deadline=None)
 @given(family_sets())
 def test_family_positions_match_searchsorted_reference(family):
-    # each positions call walks the chains, so the budget is kept small
+    # the oracle builds every node id of every level, so the budget is
+    # kept small
     make, n = family
     _assert_positions_match_search(make(grids.xi_for_budget(min(n, 3000),
                                                             make)))
@@ -538,14 +542,44 @@ def test_sample_grid_rejects_empty_level_set():
         grids.sample_grid(delta)
 
 
-@pytest.mark.parametrize("d,levels,match", [
+MALFORMED = [
     (1, ((-1,), (0,)), "negative"), (2, ((0,), (0, 1)), "1 entries, not 2"),
-    (1, ((0,), (1,), (1,)), "appears twice")])
+    (1, ((0,), (1,), (1,)), "appears twice")]
+
+
+@pytest.mark.parametrize("d,levels,match", MALFORMED)
 def test_sample_grid_rejects_malformed_levels(d, levels, match):
     # a negative level gave a silent two-point grid, a short one IndexError
-    delta = grids.LevelSet(d=d, levels=levels, xi=0.0, family="t")
     with pytest.raises(ValueError, match=match):
-        grids.sample_grid(delta)
+        grids.sample_grid(grids.LevelSet(d=d, levels=levels, xi=0.0,
+                                         family="t"))
+
+
+@pytest.mark.parametrize("d,levels,match", MALFORMED)
+def test_level_set_rejects_malformed_levels(d, levels, match):
+    # budget() and distinct_points() of ((0,), (1,), (1,)) counted (1,)
+    # twice: the budget read 8, not 5
+    with pytest.raises(ValueError, match=match):
+        grids.LevelSet(d=d, levels=levels, xi=0.0, family="t")
+
+
+@st.composite
+def level_sets_with_holes(draw):
+    """A downward-closed set with up to 3 levels dropped and up to 3 added,
+    in any order: closed or not."""
+    closed = draw(downward_closed_sets())
+    drop = draw(st.sets(st.sampled_from(closed.levels), max_size=3))
+    extra = draw(st.sets(st.tuples(*[st.integers(0, 4)] * closed.d),
+                         max_size=3))
+    levels = draw(st.permutations(sorted(set(closed.levels) - drop | extra)))
+    return grids.LevelSet(d=closed.d, levels=tuple(levels), xi=0.0,
+                          family="random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_sets_with_holes())
+def test_downward_closure_matches_neighbour_walk(delta):
+    assert delta.is_downward_closed() == neighbour_walk_closed(delta.levels)
 
 
 @pytest.mark.parametrize("call", [
@@ -555,7 +589,6 @@ def test_sample_grid_rejects_malformed_levels(d, levels, match):
     ids=["assemble_weights", "build", "build_from_samples"])
 def test_repeated_level_fails_loudly(call):
     # the weights of (1,) were added twice: x^3 integrated to -2.8e-17
-    delta = grids.LevelSet(d=1, levels=((0,), (1,), (1,)), xi=0.0,
-                           family="box")
     with pytest.raises(ValueError, match="appears twice"):
-        call(delta)
+        call(grids.LevelSet(d=1, levels=((0,), (1,), (1,)), xi=0.0,
+                            family="box"))
