@@ -186,24 +186,18 @@ def _coeff_norm(arr: np.ndarray, p: float) -> float:
 
 
 def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,
-                           truncation=None, reference=None,
-                           gamma=None) -> float:
+                           reference) -> float:
     """Residual-surplus surrogate for the energy-norm error.
 
     Rebuilds f on a strictly larger reference level set; levels already in
     rec carry identical surpluses and drop out, so the sum runs over the
     shell of missing levels, each weighted 2^{gamma |k|_inf - |k|_1 / q}
-    in the q coefficient norm and aggregated in the tau power.
+    (gamma = spec.gamma) in the q coefficient norm and aggregated in the
+    tau power.
     """
-    if gamma is None:
-        gamma = spec.gamma
+    gamma = spec.gamma
     if gamma is None:
         raise ValueError("surrogate needs a gamma weight")
-    if reference is None:
-        if truncation is None:
-            raise ValueError("need a reference level set or a truncation box")
-        from .grids import comparison_sets
-        reference = comparison_sets(truncation, 1.0, "fullgrid", rec.d)
     if not (rec.delta.issubset(reference) and len(reference) > len(rec.delta)):
         raise ValueError("reference set must strictly contain the "
                          "reconstruction levels")

@@ -7,9 +7,12 @@ Smolyak vs full-grid budgets at matched accuracy targets), export-rule
 
 Configuration comes from an INI file ([problem]/[sweep]/[output]) plus
 repeatable --set section.key=value overrides; explicit flags win over both.
-Runs are deterministic for a fixed config and every emitted row carries a
-short hash of the resolved config.  Exit codes: 0 ok, 2 bad config, 3
-numerical failure.
+Every key is read through one accessor, which parses and checks it, and
+every command runs from one table; a bad key (output.format as soon as the
+config is read) fails before anything is built or written.  Runs are
+deterministic for a fixed config and every emitted row carries a short
+hash of the resolved config.  Exit codes: 0 ok, 2 bad config, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 try:  # CPython's builtin SHA-256: hashlib would map OpenSSL's libcrypto
     from _sha2 import sha256  # Python 3.12+
@@ -49,8 +50,7 @@ _DEFAULTS = {
 def _parse_args(argv):
     ap = argparse.ArgumentParser(prog="sgqi", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("gridinfo", "recover", "integrate", "compare",
-                 "export-rule", "dump-grid"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", help="INI config file")
         p.add_argument("--set", action="append", default=[],
@@ -64,25 +64,27 @@ def _load_config(args) -> dict:
     cfg = {sec: dict(kv) for sec, kv in _DEFAULTS.items()}
     if args.config:
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
-            raise ConfigError(f"cannot read config file {args.config!r}")
+        try:
+            _check(parser.read(args.config),
+                   f"cannot read config file {args.config!r}")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ConfigError(f"config file {args.config!r}: {e}") from None
         for sec in parser.sections():
-            if sec not in cfg:
-                raise ConfigError(f"unknown config section [{sec}]")
+            _check(sec in cfg, f"unknown config section [{sec}]")
             cfg[sec].update(parser[sec])
     for item in args.overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override {item!r} is not section.key=value")
+        _check("=" in item and "." in item.split("=", 1)[0],
+               f"override {item!r} is not section.key=value")
         target, value = item.split("=", 1)
         sec, key = target.split(".", 1)
-        if sec not in cfg:
-            raise ConfigError(f"unknown config section [{sec}]")
+        _check(sec in cfg, f"unknown config section [{sec}]")
         cfg[sec][key.strip()] = value.strip()
     if args.output:
         cfg["output"]["path"] = args.output
     if args.format:
         cfg["output"]["format"] = args.format
+    fmt = _get(cfg, "output.format")
+    _check(fmt in ("csv", "jsonl"), f"unknown output format {fmt!r}")
     return cfg
 
 
@@ -93,68 +95,70 @@ def _config_hash(cfg: dict) -> str:
     return sha256(canon.encode()).hexdigest()[:12]
 
 
-def _need(cfg, sec, key):
-    try:
-        return cfg[sec][key]
-    except KeyError:
-        raise ConfigError(f"missing required config key {sec}.{key}")
+def _check(ok, message):
+    if not ok:
+        raise ConfigError(message)
 
 
-def _as_float(raw, what):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{what}: not a number: {raw!r}")
+def _get(cfg, key, parse=str, default=None, many=False):
+    """parse(raw) of config key "section.key", or with many a tuple of
+    parse(token) over its nonblank comma-separated tokens; default where
+    the key is unset, which without a default is an error."""
+    sec, name = key.split(".")
+    raw = cfg[sec].get(name)
+    if raw is None:
+        _check(default is not None, f"missing required config key {key}")
+        return default
+    tokens = [tok for tok in raw.split(",") if tok.strip()] if many else [raw]
+    out = []
+    for tok in tokens:
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{key}: not {kind}: {tok!r}") from None
+    return tuple(out) if many else out[0]
 
 
-def _as_int(raw, what):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{what}: not an integer: {raw!r}")
+def _auto(cfg, key, parse):
+    """key's value, or None where it is unset, empty or auto."""
+    sec, name = key.split(".")
+    raw = cfg[sec].get(name)
+    return None if raw in (None, "", "auto") else _get(cfg, key, parse)
 
 
-def _float_list(raw, what):
-    return tuple(_as_float(tok, what) for tok in raw.split(",") if tok.strip())
-
-
-def _finite_xi(raw):
-    xi = _as_float(raw, "sweep.xi")
-    if not (math.isfinite(xi) and xi >= 0):
-        raise ConfigError(f"sweep.xi must be finite and nonnegative: {raw!r}")
+def _xi(raw):
+    xi = float(raw)
+    _check(math.isfinite(xi) and xi >= 0,
+           f"sweep.xi must be finite and nonnegative: {raw!r}")
     return xi
 
 
 def _experiment(cfg) -> tuple:
     """(spec, family, make_delta) of the [problem] section: make_delta maps
     xi to the family's level set."""
-    prob = cfg["problem"]
-    family = _need(cfg, "problem", "family")
-    if family not in ("mixed", "hybrid", "energy"):
-        raise ConfigError(f"unknown family {family!r}")
-    d = _as_int(_need(cfg, "problem", "d"), "problem.d")
-    r = _as_int(_need(cfg, "problem", "r"), "problem.r")
-    p = _as_float(_need(cfg, "problem", "p"), "problem.p")
-    theta = _as_float(_need(cfg, "problem", "theta"), "problem.theta")
-    q = _as_float(_need(cfg, "problem", "q"), "problem.q")
-    eps = prob.get("epsilon")
-    eps = None if eps in (None, "", "auto") else _as_float(eps, "epsilon")
-    kw = dict(d=d, r=r, p=p, theta=theta, q=q, epsilon=eps)
+    family = _get(cfg, "problem.family")
+    _check(family in ("mixed", "hybrid", "energy"),
+           f"unknown family {family!r}")
+    d, r = (_get(cfg, f"problem.{key}", int) for key in ("d", "r"))
+    p, theta, q = (_get(cfg, f"problem.{key}", float)
+                   for key in ("p", "theta", "q"))
+    kw = dict(d=d, r=r, p=p, theta=theta, q=q,
+              epsilon=_auto(cfg, "problem.epsilon", float))
     if family == "mixed":
-        a = _float_list(_need(cfg, "problem", "a"), "problem.a")
-        if len(a) != d:
-            raise ConfigError("problem.a length must equal problem.d")
+        a = _get(cfg, "problem.a", float, many=True)
+        _check(len(a) == d, "problem.a length must equal problem.d")
         spec = grids.SmoothnessSpec(kind="mixed", a=a, **kw)
     else:
-        alpha = _as_float(_need(cfg, "problem", "alpha"), "problem.alpha")
-        beta = _as_float(prob.get("beta", "0"), "problem.beta")
-        gamma = prob.get("gamma")
-        gamma = None if gamma in (None, "") else _as_float(gamma, "gamma")
-        if family == "energy" and gamma is None:
-            raise ConfigError("energy family needs problem.gamma")
+        alpha = _get(cfg, "problem.alpha", float)
+        beta = _get(cfg, "problem.beta", float, 0.0)
+        gamma = _get(cfg, "problem.gamma", float) \
+            if cfg["problem"].get("gamma") else None
+        _check(family != "energy" or gamma is not None,
+               "energy family needs problem.gamma")
         spec = grids.SmoothnessSpec(kind="hybrid", alpha=alpha, beta=beta,
                                     gamma=gamma, **kw)
-    tau = _as_float(prob.get("tau", prob.get("q", "2")), "problem.tau")
+    tau = _get(cfg, "problem.tau", float, q)
     flag = grids.theta_le_taustar(spec.theta, tau)
     make = lambda xi: grids.delta_for_family(
         xi, spec, family, theta_le_taustar_flag=flag)
@@ -167,10 +171,9 @@ def _experiment(cfg) -> tuple:
 
 
 def _budgets(cfg):
-    budgets = [_as_int(tok, "sweep.budgets") for tok in
-               _need(cfg, "sweep", "budgets").split(",") if tok.strip()]
-    if not budgets or any(b <= 0 for b in budgets):
-        raise ConfigError("sweep.budgets must be positive integers")
+    budgets = _get(cfg, "sweep.budgets", int, many=True)
+    _check(budgets and min(budgets) > 0,
+           "sweep.budgets must be positive integers")
     return budgets
 
 
@@ -183,58 +186,47 @@ def _budget_sweep(cfg, make_delta):
 
 
 def _corpus_selection(cfg, spec):
-    funcs = analysis.corpus(spec.d, spec.r, spec)
-    wanted = [tok.strip() for tok in cfg["sweep"]["corpus"].split(",")
-              if tok.strip()]
-    if not wanted:
-        raise ConfigError("sweep.corpus names no function")
-    by_label = {tf.label: tf for tf in funcs}
-    sel = []
+    by_label = {tf.label: tf for tf in analysis.corpus(spec.d, spec.r, spec)}
+    wanted = _get(cfg, "sweep.corpus", str.strip, many=True)
+    _check(wanted, "sweep.corpus names no function")
     for label in wanted:
-        if label not in by_label:
-            raise ConfigError(f"unknown corpus function {label!r}")
-        sel.append(by_label[label])
-    return sel
+        _check(label in by_label, f"unknown corpus function {label!r}")
+    return [by_label[label] for label in wanted]
 
 
 def _error_kwargs(cfg, spec):
     """discrete_lq_error's keywords from [sweep], checked here so that a bad
     setting is a config error before anything is built."""
-    sw = cfg["sweep"]
-    q_norm = _as_float(sw.get("lq", "") or str(spec.q), "sweep.lq")
-    if not q_norm > 0:
-        raise ConfigError(f"sweep.lq must be positive: {q_norm!r}")
-    res = sw["resolution"].strip()
+    q_norm = _get(cfg, "sweep.lq", float) if cfg["sweep"].get("lq") \
+        else spec.q
+    _check(q_norm > 0, f"sweep.lq must be positive: {q_norm!r}")
+    res = _get(cfg, "sweep.resolution", str.strip)
     resolution = None
     if res != "auto":
-        vals = [_as_int(tok, "sweep.resolution") for tok in res.split(",")
-                if tok.strip()]
-        if len(vals) not in (1, spec.d) or min(vals) < 2:
-            raise ConfigError(f"sweep.resolution: {res!r} is not 1 or "
-                              f"{spec.d} integers of at least 2")
-        resolution = vals[0] if len(vals) == 1 else tuple(vals)
-    method = sw["method"].strip()
-    if method not in ("auto", "lattice", "halton", "mc"):
-        raise ConfigError(f"unknown sweep.method {method!r}")
-    method = None if method == "auto" else method
-    points = sw.get("points")
-    points = None if points in (None, "", "auto") else \
-        _as_int(points, "sweep.points")
-    if points is not None and points < 1:
-        raise ConfigError("sweep.points must be at least 1")
-    offset = sw["offset"].strip().lower()
-    if offset not in ("true", "false", "yes", "no", "1", "0"):
-        raise ConfigError(f"sweep.offset is not true or false: {offset!r}")
-    seed = _as_int(sw.get("seed", "7"), "sweep.seed")
-    if seed < 0:
-        raise ConfigError(f"sweep.seed must be non-negative: {seed}")
-    return dict(q_norm=q_norm, resolution=resolution, method=method,
+        vals = _get(cfg, "sweep.resolution", int, many=True)
+        _check(len(vals) in (1, spec.d) and min(vals) >= 2,
+               f"sweep.resolution: {res!r} is not 1 or {spec.d} integers "
+               f"of at least 2")
+        resolution = vals[0] if len(vals) == 1 else vals
+    method = _get(cfg, "sweep.method", str.strip)
+    _check(method in ("auto", "lattice", "halton", "mc"),
+           f"unknown sweep.method {method!r}")
+    points = _auto(cfg, "sweep.points", int)
+    _check(points is None or points >= 1, "sweep.points must be at least 1")
+    offset = _get(cfg, "sweep.offset", str.strip).lower()
+    _check(offset in ("true", "false", "yes", "no", "1", "0"),
+           f"sweep.offset is not true or false: {offset!r}")
+    seed = _get(cfg, "sweep.seed", int, 7)
+    _check(seed >= 0, f"sweep.seed must be non-negative: {seed}")
+    return dict(q_norm=q_norm, resolution=resolution,
+                method=None if method == "auto" else method,
                 offset=offset in ("true", "yes", "1"), points=points,
                 seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# commands (each returns header, rows, dat-file map)
+# commands (each returns a writer of the output and a dat-file map, None
+# for a command that writes no dat files)
 
 def cmd_gridinfo(cfg):
     spec, family, make_delta = _experiment(cfg)
@@ -249,7 +241,7 @@ def cmd_gridinfo(cfg):
                      h])
     header = ["family", "d", "r", "n_target", "xi", "n_levels", "n_declared",
               "n_distinct", "ratio_declared", "ratio_distinct", "config_hash"]
-    return header, rows, {}
+    return _table(cfg, header, rows), {}
 
 
 def _sweep_command(cfg, integrate: bool):
@@ -289,17 +281,15 @@ def _sweep_command(cfg, integrate: bool):
         dats[tf.label] = pts
     header = ["family", "label", "n_target", "xi", "n_declared", "n_distinct",
               "error", "slope_so_far", "predicted_slope", "config_hash"]
-    return header, rows, dats
+    return _table(cfg, header, rows), dats
 
 
 def cmd_compare(cfg):
     spec, family, make_delta = _experiment(cfg)
     nu = grids.nu_exponent(spec, family)
     h = _config_hash(cfg)
-    xis = [_finite_xi(tok) for tok in _need(cfg, "sweep", "xi").split(",")
-           if tok.strip()]
-    if not xis:
-        raise ConfigError("sweep.xi names no value")
+    xis = _get(cfg, "sweep.xi", _xi, many=True)
+    _check(xis, "sweep.xi names no value")
     rows = []
     for xi in xis:
         aniso = make_delta(xi)
@@ -312,32 +302,29 @@ def cmd_compare(cfg):
                      ns / na, nf / na, h])
     header = ["family", "d", "r", "xi", "n_aniso", "n_smolyak", "n_fullgrid",
               "ratio_smolyak", "ratio_fullgrid", "config_hash"]
-    return header, rows, {}
+    return _table(cfg, header, rows), {}
 
 
 def _single_xi(cfg, make_delta):
-    sw = cfg["sweep"]
-    if sw.get("xi"):
-        return _finite_xi(sw["xi"])
-    if sw.get("budgets"):
-        return grids.xi_for_budget(_budgets(cfg)[0], make_delta)
-    raise ConfigError("need sweep.xi or sweep.budgets")
+    if cfg["sweep"].get("xi"):
+        return _get(cfg, "sweep.xi", _xi)
+    _check(cfg["sweep"].get("budgets"), "need sweep.xi or sweep.budgets")
+    return grids.xi_for_budget(_budgets(cfg)[0], make_delta)
 
 
 def cmd_export_rule(cfg):
     spec, family, make_delta = _experiment(cfg)
     xi = _single_xi(cfg, make_delta)
     rule = cubature.assemble_weights(make_delta(xi), spec.r)
-    return lambda fh: cubature.export_csv(rule, fh)
+    return lambda fh: cubature.export_csv(rule, fh), None
 
 
 def cmd_dump_grid(cfg):
-    prob = cfg["problem"]
-    family = _need(cfg, "problem", "family")
+    family = _get(cfg, "problem.family")
     if family in ("fullgrid", "smolyak"):
-        d = _as_int(_need(cfg, "problem", "d"), "problem.d")
-        lam = _as_float(prob.get("lam", "1"), "problem.lam")
-        xi = _finite_xi(_need(cfg, "sweep", "xi"))
+        d = _get(cfg, "problem.d", int)
+        lam = _get(cfg, "problem.lam", float, 1.0)
+        xi = _get(cfg, "sweep.xi", _xi)
         try:
             delta = grids.comparison_sets(xi, lam, family, d)
         except ValueError as e:
@@ -346,7 +333,7 @@ def cmd_dump_grid(cfg):
         spec, family, make_delta = _experiment(cfg)
         delta = make_delta(_single_xi(cfg, make_delta))
     text = delta.to_text()
-    return lambda fh: fh.write(text)
+    return lambda fh: fh.write(text), None
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +345,20 @@ def _format_cell(v):
     return str(v)
 
 
-def _emit(cfg, header, rows, dats):
-    fmt = cfg["output"]["format"]
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    if fmt == "csv":
+def _table(cfg, header, rows):
+    """A writer of rows under header in output.format."""
+    if _get(cfg, "output.format") == "csv":
         lines = [",".join(header)]
         lines += [",".join(_format_cell(v) for v in row) for row in rows]
     else:
         lines = [json.dumps(dict(zip(header, row)), sort_keys=True)
                  for row in rows]
     text = "\n".join(lines) + "\n"
-    dat_dir = cfg["output"].get("dat_dir")
+    return lambda fh: fh.write(text)
+
+
+def _emit(cfg, write, dats):
+    dat_dir = dats is not None and _get(cfg, "output.dat_dir", default="")
     targets = {os.path.join(dat_dir, f"{label}.dat"): pts
                for label, pts in dats.items()} if dat_dir else {}
     # first: a target that cannot be written keeps every file as it was
@@ -382,7 +371,7 @@ def _emit(cfg, header, rows, dats):
             os.makedirs(dat_dir, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"output.dat_dir: {e}") from e
-    _write(cfg["output"]["path"], lambda fh: fh.write(text))
+    _write(_get(cfg, "output.path"), write)
     for path, pts in targets.items():
         _write(path, lambda fh: fh.write(
             "".join(f"{n} {repr(float(e))}\n" for n, e in pts)))
@@ -401,11 +390,13 @@ def _write(path, write) -> None:
         raise ConfigError(f"output: {e}") from e
 
 
-_TABLE_COMMANDS = {
+_COMMANDS = {
     "gridinfo": cmd_gridinfo,
     "recover": lambda cfg: _sweep_command(cfg, integrate=False),
     "integrate": lambda cfg: _sweep_command(cfg, integrate=True),
     "compare": cmd_compare,
+    "export-rule": cmd_export_rule,
+    "dump-grid": cmd_dump_grid,
 }
 
 
@@ -413,21 +404,12 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        if args.command in _TABLE_COMMANDS:
-            _emit(cfg, *_TABLE_COMMANDS[args.command](cfg))
-        else:
-            run = cmd_export_rule if args.command == "export-rule" \
-                else cmd_dump_grid
-            _write(cfg["output"]["path"], run(cfg))
+        _emit(cfg, *_COMMANDS[args.command](cfg))
         return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
+    except (ValueError, ArithmeticError) as e:  # LinAlgError is a ValueError
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

@@ -145,8 +145,8 @@ class SmoothnessSpec:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Finite set of distinct level vectors of d nonnegative entries each
-    (else ValueError) with its defining xi; see is_downward_closed.
+    """Finite set of distinct level vectors of d >= 1 nonnegative entries
+    each (else ValueError) with its defining xi; see is_downward_closed.
 
     A set enumerated from a functional also holds, per level, its value
     phi and its gate, the largest functional value compared on the
@@ -164,6 +164,8 @@ class LevelSet:
     gate: tuple = ()
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be at least 1")
         if set(map(len, self.levels)) - {self.d}:
             k = next(k for k in self.levels if len(k) != self.d)
             raise ValueError(f"level {k!r} has {len(k)} entries, not {self.d}")

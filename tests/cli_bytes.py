@@ -1,0 +1,189 @@
+"""Digest the command line's bytes over a fixed set of invocations.
+
+    python3 tests/cli_bytes.py CHECKOUT > digests.txt
+
+runs `sgqi.cli.main` from CHECKOUT/src in process over CONFIGS (the
+README's and `tests/test_cli.py`'s MIXED_INI, a bare command line and two
+config files that do not parse), times the six commands, times SETTINGS:
+valid variants and every bad setting the config checks serve.  Each invocation runs in a fresh
+temporary directory and prints one tab-separated line: command, config,
+settings, exit code and the first 16 hex digits of the sha256 of stdout
+and of stderr.  Diffing the output of two checkouts shows every
+invocation whose exit code or bytes changed.  pytest does not collect
+this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+MIXED_INI = """\
+[problem]
+family = mixed
+d = 2
+r = 2
+p = 2
+theta = 1
+q = 2
+a = 1,2
+
+[sweep]
+budgets = 4,10,26,53
+"""
+
+CONFIGS = {
+    "readme": MIXED_INI.replace("r = 2", "r = 4").replace(
+        "budgets = 4,10,26,53", "budgets = 100,300,1000,3000"),
+    "mixed": MIXED_INI,
+    "bare": None,
+    "no-section-header": "family = mixed\n",
+    "not-utf-8": b"[problem]\nfamily = \xe9nergie\n",
+}
+
+COMMANDS = ("gridinfo", "recover", "integrate", "compare", "export-rule",
+            "dump-grid")
+
+HYBRID = ("problem.family=hybrid", "problem.alpha=1.5", "problem.beta=-0.5")
+ENERGY = ("problem.family=energy", "problem.alpha=2", "problem.gamma=1",
+          "problem.theta=2")
+
+# each entry is one invocation's --set overrides; an item that starts
+# with "-" is a flag and passed as it stands
+SETTINGS = [
+    (),
+    ("--format=jsonl",),
+    ("sweep.xi=2",),
+    ("sweep.xi=2,4",),
+    ("sweep.corpus=sinprod",),
+    ("sweep.corpus=kink, poly",),
+    ("sweep.method=halton", "sweep.points=256"),
+    ("sweep.method=mc", "sweep.points=256", "sweep.seed=3"),
+    ("sweep.method=lattice", "sweep.resolution=9"),
+    ("sweep.resolution=9,17", "sweep.offset=yes"),
+    ("sweep.lq=1",),
+    ("sweep.lq=inf", "sweep.points=auto"),
+    ("problem.epsilon=auto", "problem.tau=3"),
+    ("problem.epsilon=", "sweep.xi=3"),
+    ("sweep.budgets=,100, 26",),
+    HYBRID,
+    HYBRID[:2] + ("sweep.xi=2,4,6",),
+    HYBRID + ("problem.gamma=",),
+    ENERGY,
+    ENERGY + ("sweep.xi=2",),
+    ("problem.family=fullgrid", "problem.lam=1", "sweep.xi=2"),
+    ("problem.family=smolyak", "sweep.xi=3"),
+    ("output.dat_dir=dats", "sweep.corpus=sinprod"),
+    ("--output=out.csv",),
+    # bad settings
+    ("problem.d=2.5",),
+    ("problem.p=abc",),
+    ("problem.a=1, x",),
+    ("problem.a=1",),
+    ("problem.epsilon=x",),
+    ("problem.theta=2", "problem.epsilon=50"),
+    HYBRID + ("problem.gamma=x",),
+    HYBRID + ("problem.gamma=auto",),
+    HYBRID[:2] + ("problem.beta=",),
+    ("problem.family=hybrid",),
+    ENERGY[:2],
+    ("problem.tau=x",),
+    ("problem.family=energy", "problem.alpha=0.6", "problem.beta=1e-12",
+     "problem.gamma=0.6", "problem.theta=2"),
+    ("problem.family=sobolev",),
+    ("problem.family=",),
+    ("problem.family=fullgrid", "problem.lam=x", "sweep.xi=2"),
+    ("problem.family=fullgrid", "problem.lam=0", "sweep.xi=2"),
+    ("problem.family=smolyak", "problem.d=0", "sweep.xi=2"),
+    ("problem.family=fullgrid", "sweep.xi=2,3"),
+    ("sweep.lq=0",),
+    ("sweep.lq=nan",),
+    ("sweep.lq=auto",),
+    ("sweep.points=0", "sweep.method=halton"),
+    ("sweep.points=x",),
+    ("sweep.seed=-1", "sweep.method=mc"),
+    ("sweep.seed=x",),
+    ("sweep.xi=nan",),
+    ("sweep.xi=inf",),
+    ("sweep.xi=-1",),
+    ("sweep.xi=2, nan",),
+    ("sweep.xi=x",),
+    ("sweep.xi=",),
+    ("sweep.xi= , ",),
+    ("sweep.budgets=0",),
+    ("sweep.budgets=100,-1",),
+    ("sweep.budgets=abc",),
+    ("sweep.budgets= , ",),
+    ("sweep.budgets=1",),
+    ("sweep.resolution=1",),
+    ("sweep.resolution=0,5",),
+    ("sweep.resolution=3,3,3",),
+    ("sweep.resolution=x",),
+    ("sweep.resolution=",),
+    ("sweep.offset=maybe",),
+    ("sweep.method=bogus",),
+    ("sweep.method=",),
+    ("sweep.corpus=nosuch",),
+    ("sweep.corpus=",),
+    ("sweep.corpus= , ",),
+    ("output.format=xml",),
+    ("output.format=xml", "sweep.xi=2"),
+    ("output.dat_dir=afile",),
+    ("--output=nodir/out.csv",),
+    ("bogus.key=1",),
+    ("problem.family",),
+]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+        except Exception as e:  # a traceback at the command line
+            code = type(e).__name__
+            print(e, file=sys.stderr)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(checkout):
+    sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    from sgqi import cli
+
+    print(f"running {cli.__file__}", file=sys.stderr)
+    home = os.getcwd()
+    for name, ini in CONFIGS.items():
+        for command in COMMANDS:
+            for setting in SETTINGS:
+                argv = [command]
+                for item in setting:
+                    argv += [item] if item.startswith("-") else ["--set", item]
+                with tempfile.TemporaryDirectory() as tmp:
+                    os.chdir(tmp)
+                    try:
+                        with open("afile", "w"):
+                            pass
+                        if ini is not None:
+                            with open("config.ini", "wb") as fh:
+                                fh.write(ini if isinstance(ini, bytes)
+                                         else ini.encode())
+                            argv += ["-c", "config.ini"]
+                        code, out, err = _run(cli.main, argv)
+                    finally:
+                        os.chdir(home)
+                print("\t".join([command, name, " ".join(setting), str(code),
+                                 _digest(out), _digest(err)]), flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

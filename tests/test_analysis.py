@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,8 +234,9 @@ def test_surrogate_monotone_in_gamma():
     f = lambda X: np.sin(3.0 * X[:, 0]) * np.cos(2.0 * X[:, 1])
     rec = recovery.build(f, grids.delta_energy(3.0, ENERGY, True), 4)
     ref = grids.delta_energy(6.0, ENERGY, True)
-    vals = [analysis.energy_error_surrogate(f, rec, ENERGY, 2.0,
-                                            reference=ref, gamma=g)
+    vals = [analysis.energy_error_surrogate(
+                f, rec, dataclasses.replace(ENERGY, gamma=g), 2.0,
+                reference=ref)
             for g in (0.5, 1.0, 1.5)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -245,20 +247,13 @@ def test_surrogate_reference_handling():
     rec = recovery.build(f, delta, 4)
     with pytest.raises(ValueError, match="strictly contain"):
         analysis.energy_error_surrogate(f, rec, ENERGY, 2.0, reference=delta)
-    with pytest.raises(ValueError, match="reference level set or"):
-        analysis.energy_error_surrogate(f, rec, ENERGY, 2.0)
     spec_nog = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
                                     kind="hybrid", alpha=1.0, beta=0.5)
     rec2 = recovery.build(f, grids.delta_hybrid(3.0, spec_nog), 4)
     with pytest.raises(ValueError, match="gamma"):
-        analysis.energy_error_surrogate(f, rec2, spec_nog, 2.0, truncation=5)
-    # a truncation box is shorthand for the full-grid reference
-    via_box = analysis.energy_error_surrogate(f, rec, ENERGY, 2.0,
-                                              truncation=5)
-    via_ref = analysis.energy_error_surrogate(
-        f, rec, ENERGY, 2.0,
-        reference=grids.comparison_sets(5.0, 1.0, "fullgrid", 2))
-    assert math.isclose(via_box, via_ref)
+        analysis.energy_error_surrogate(
+            f, rec2, spec_nog, 2.0,
+            reference=grids.comparison_sets(5.0, 1.0, "fullgrid", 2))
 
 
 def test_fit_rate_exact_and_noisy():

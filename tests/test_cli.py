@@ -546,6 +546,88 @@ def test_exit_2_empty_list(mixed_cfg, capsys, monkeypatch, argv):
     assert "config error" in out.err and key in out.err
 
 
+HYBRID = ["problem.family=hybrid", "problem.alpha=1.5", "problem.beta=-0.5"]
+
+CONFIG_ERRORS = [
+    ("missing-key", "compare", [], "missing required config key sweep.xi"),
+    ("not-a-number", "gridinfo", ["problem.p=abc"],
+     "problem.p: not a number: 'abc'"),
+    ("not-an-integer", "gridinfo", ["problem.d=2.5"],
+     "problem.d: not an integer: '2.5'"),
+    ("list-token", "gridinfo", ["problem.a=1, x"],
+     "problem.a: not a number: ' x'"),
+    ("epsilon", "gridinfo", ["problem.epsilon=x"],
+     "problem.epsilon: not a number: 'x'"),
+    ("gamma", "gridinfo", HYBRID + ["problem.gamma=x"],
+     "problem.gamma: not a number: 'x'"),
+    ("lq", "recover", ["sweep.lq=0"], "sweep.lq must be positive: 0.0"),
+    ("points", "recover", ["sweep.method=halton", "sweep.points=0"],
+     "sweep.points must be at least 1"),
+    ("seed", "recover", ["sweep.method=mc", "sweep.seed=-1"],
+     "sweep.seed must be non-negative: -1"),
+    ("xi", "compare", HYBRID + ["sweep.xi=2, nan"],
+     "sweep.xi must be finite and nonnegative: ' nan'"),
+    ("budgets", "integrate", ["sweep.budgets=100,-1"],
+     "sweep.budgets must be positive integers"),
+    ("resolution", "recover", ["sweep.resolution=3,3,3"],
+     "sweep.resolution: '3,3,3' is not 1 or 2 integers of at least 2"),
+    ("offset", "integrate", ["sweep.offset=maybe"],
+     "sweep.offset is not true or false: 'maybe'"),
+    ("family", "gridinfo", ["problem.family=sobolev"],
+     "unknown family 'sobolev'"),
+    ("method", "recover", ["sweep.method=bogus"],
+     "unknown sweep.method 'bogus'"),
+    ("corpus", "integrate", ["sweep.corpus=poly,nosuch"],
+     "unknown corpus function 'nosuch'"),
+    ("empty-corpus", "recover", ["sweep.corpus= , "],
+     "sweep.corpus names no function"),
+    ("empty-xi", "compare", HYBRID + ["sweep.xi= , "],
+     "sweep.xi names no value"),
+] + [(f"format-{command}", command, ["output.format=xml", "sweep.xi=2"],
+      "unknown output format 'xml'")
+     for command in ("gridinfo", "recover", "integrate", "compare",
+                     "export-rule", "dump-grid")]
+
+
+@pytest.mark.parametrize("command, settings, message",
+                         [case[1:] for case in CONFIG_ERRORS],
+                         ids=[case[0] for case in CONFIG_ERRORS])
+def test_config_error_lines(mixed_cfg, capsys, monkeypatch, command,
+                            settings, message):
+    # every check of a key runs before anything is built, assembled or
+    # searched; output.format was read only once a table had been computed,
+    # and export-rule and dump-grid ignored it
+    from sgqi import cli, cubature, grids, recovery
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for module, name in [(recovery, "build"), (cubature, "assemble_weights"),
+                         (grids, "xi_for_budget"),
+                         (grids, "comparison_sets")]:
+        monkeypatch.setattr(module, name, unexpected)
+    argv = [command, "-c", mixed_cfg]
+    for item in settings:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("content", [
+    b"family = mixed\n", b"[problem]\nfamily = \xe9nergie\n"],
+    ids=["no-section-header", "not-utf-8"])
+def test_exit_2_unparsable_config_file(tmp_path, capsys, content):
+    # these raised out of main: a traceback, exit 1
+    from sgqi import cli
+
+    path = tmp_path / "config.ini"
+    path.write_bytes(content)
+    assert cli.main(["gridinfo", "-c", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"config error: config file {str(path)!r}: ")
+
+
 def test_exit_3_budget_below_minimal(mixed_cfg):
     res = run_cli("gridinfo", "-c", mixed_cfg, "--set", "sweep.budgets=1")
     assert res.returncode == 3

@@ -544,7 +544,8 @@ def test_sample_grid_rejects_empty_level_set():
 
 MALFORMED = [
     (1, ((-1,), (0,)), "negative"), (2, ((0,), (0, 1)), "1 entries, not 2"),
-    (1, ((0,), (1,), (1,)), "appears twice")]
+    (1, ((0,), (1,), (1,)), "appears twice"),
+    (0, ((),), "at least 1"), (-1, (), "at least 1")]
 
 
 @pytest.mark.parametrize("d,levels,match", MALFORMED)
