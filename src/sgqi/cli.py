@@ -11,8 +11,8 @@ Every key is read through one accessor, which parses and checks it, and
 every command runs from one table; a bad key (output.format as soon as the
 config is read) fails before anything is built or written.  Runs are
 deterministic for a fixed config and every emitted row carries a short
-hash of the resolved config.  Exit codes: 0 ok, 2 bad config, 3 numerical
-failure.
+hash of the resolved config.  Exit codes: 0 ok, 1 stdout closed by its
+reader, 2 bad config, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def _load_config(args) -> dict:
         cfg["output"]["format"] = args.format
     fmt = _get(cfg, "output.format")
     _check(fmt in ("csv", "jsonl"), f"unknown output format {fmt!r}")
+    _check(fmt == "csv" or args.command not in ("export-rule", "dump-grid"),
+           f"{args.command} has no {fmt} output")
     return cfg
 
 
@@ -241,7 +243,7 @@ def cmd_gridinfo(cfg):
                      h])
     header = ["family", "d", "r", "n_target", "xi", "n_levels", "n_declared",
               "n_distinct", "ratio_declared", "ratio_distinct", "config_hash"]
-    return _table(cfg, header, rows), {}
+    return _table(cfg, header, rows), None
 
 
 def _sweep_command(cfg, integrate: bool):
@@ -302,7 +304,7 @@ def cmd_compare(cfg):
                      ns / na, nf / na, h])
     header = ["family", "d", "r", "xi", "n_aniso", "n_smolyak", "n_fullgrid",
               "ratio_smolyak", "ratio_fullgrid", "config_hash"]
-    return _table(cfg, header, rows), {}
+    return _table(cfg, header, rows), None
 
 
 def _single_xi(cfg, make_delta):
@@ -382,6 +384,7 @@ def _write(path, write) -> None:
     after all that can fail, so a failing run leaves the file as it was."""
     if path == "-":
         write(sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return
     try:
         with open(path, "w", newline="") as fh:
@@ -409,6 +412,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early
+        # so that the interpreter's last flush of stdout does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError) as e:  # LinAlgError is a ValueError
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -26,7 +26,10 @@ order, which the test suite checks directly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -120,25 +123,46 @@ def _refine_rows(r: int, k: int, rows, cols, vals) -> list:
     return parts
 
 
+@lru_cache(maxsize=None)
+def _csr_matvecs():
+    """scipy's compiled kernel csr_matvecs(M, N, n_vecs, indptr, indices,
+    data, X, Y), which adds table @ X to Y, loaded from the extension file
+    scipy/sparse/_sparsetools without importing scipy.sparse (about 0.2 s
+    and 20 MB)."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_sparsetools", [os.path.join(p, "sparse")
+                         for p in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("scipy/sparse/_sparsetools not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.csr_matvecs
+
+
 @dataclass(eq=False)
 class Table:
-    """A univariate table in CSR form, indices sorted, index arrays int32;
-    scipy.sparse wraps the same arrays on the first product with a tensor.
-    Only collocation tables store zeros."""
+    """A univariate table in CSR form: indices sorted, index arrays int32,
+    data float64.  table @ X runs scipy's compiled CSR kernel on these
+    arrays, so it is bitwise scipy.sparse's product.  Only collocation
+    tables store zeros."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
 
-    @cached_property
-    def _csr(self):
-        from scipy import sparse  # slow to import; only products need it
-        return sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                 shape=self.shape)
-
-    def __matmul__(self, X):
-        return self._csr @ X
+    def __matmul__(self, X) -> np.ndarray:
+        # the kernel checks no bounds: the operand's shape is checked here
+        X = np.asarray(X, dtype=np.float64, order="C")
+        if X.ndim not in (1, 2) or X.shape[0] != self.shape[1]:
+            raise ValueError(f"table of shape {self.shape} cannot apply to "
+                             f"an operand of shape {X.shape}")
+        Y = np.zeros(self.shape[:1] + X.shape[1:])
+        _csr_matvecs()(*self.shape, X.shape[1] if X.ndim == 2 else 1,
+                       self.indptr, self.indices, self.data, X.ravel(),
+                       Y.ravel())
+        return Y
 
     @cached_property
     def _rows(self):

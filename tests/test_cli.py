@@ -346,6 +346,44 @@ def test_unwritable_dat_target_writes_nothing(mixed_cfg, tmp_path, capsys):
     assert err.startswith("config error") and "sinprod.dat" in err
 
 
+@pytest.mark.parametrize("command", ["gridinfo", "compare"])
+def test_commands_without_dat_files_make_no_dat_dir(mixed_cfg, tmp_path,
+                                                    command):
+    # gridinfo and compare used to make output.dat_dir, and a regular file
+    # at that path made them exit 2
+    made = tmp_path / "made"
+    res = run_cli(command, "-c", mixed_cfg, "--set", "sweep.xi=2",
+                  "--set", f"output.dat_dir={made}")
+    assert res.returncode == 0, res.stderr
+    assert not made.exists()
+
+
+@pytest.mark.parametrize("command", ["export-rule", "dump-grid"])
+def test_jsonl_flag_is_a_config_error_without_jsonl_output(
+        mixed_cfg, tmp_path, command):
+    # export-rule and dump-grid used to write csv or text and exit 0
+    out = tmp_path / "out"
+    res = run_cli(command, "-c", mixed_cfg, "--set", "sweep.xi=2",
+                  "--format", "jsonl", "-o", str(out))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"config error: {command} has no jsonl output\n"
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_1_without_traceback(mixed_cfg):
+    # `sgqi export-rule ... | head -2` used to print a BrokenPipeError
+    # traceback; the rule is larger than a pipe's buffer, so the write
+    # fails once the reader has gone
+    proc = subprocess.Popen([sys.executable, "-m", "sgqi.cli", "export-rule",
+                             "-c", mixed_cfg, "--set", "sweep.xi=12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"x_1,x_2,weight\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+    proc.stderr.close()
+
+
 def test_dump_grid_golden():
     res = run_cli("dump-grid",
                   "--set", "problem.family=fullgrid",
@@ -586,7 +624,10 @@ CONFIG_ERRORS = [
 ] + [(f"format-{command}", command, ["output.format=xml", "sweep.xi=2"],
       "unknown output format 'xml'")
      for command in ("gridinfo", "recover", "integrate", "compare",
-                     "export-rule", "dump-grid")]
+                     "export-rule", "dump-grid")] + [
+    (f"jsonl-{command}", command, ["output.format=jsonl", "sweep.xi=2"],
+     f"{command} has no jsonl output") for command in ("export-rule",
+                                                       "dump-grid")]
 
 
 @pytest.mark.parametrize("command, settings, message",
@@ -692,15 +733,14 @@ def test_config_hash_falls_back_to_hashlib():
 
 
 def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
-    # scipy is slow to import: sgqi.cli and the commands that build no
-    # reconstruction run on numpy alone; recover loads scipy.sparse for the
-    # first table product with a tensor, but Halton and Monte Carlo error
-    # estimation never load scipy.stats.  The row hash comes from CPython's
-    # builtin SHA-256, so those commands never map OpenSSL's libcrypto
-    # (_hashlib) either; recover is exempt, as scipy.sparse imports
-    # numpy.random, which imports hashlib.  Exact integrals are integer
-    # numerators, so no command, recover included, loads fractions or
-    # decimal
+    # scipy is slow to import: no command loads any scipy module.  Table
+    # products load scipy's compiled CSR kernel from its extension file
+    # alone, and Halton and Monte Carlo error estimation draw their points
+    # in numpy.  The row hash comes from CPython's builtin SHA-256, so no
+    # command maps OpenSSL's libcrypto (_hashlib) either, recover with the
+    # lattice estimator included; halton and mc recover still may, because
+    # numpy.random imports hashlib.  Exact integrals are integer
+    # numerators, so no command loads fractions or decimal
     commands = [
         ["integrate", "-c", mixed_cfg],
         ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
@@ -709,28 +749,48 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
          "--set", "problem.alpha=1.5", "--set", "problem.beta=-0.5",
          "--set", "sweep.xi=2,4"],
         ["dump-grid", "-c", mixed_cfg, "--set", "sweep.xi=3"],
+        ["recover", "-c", mixed_cfg, "--set", "sweep.method=lattice"],
     ]
-    recover = [["recover", "-c", mixed_cfg, "--set", f"sweep.method={m}",
-                "--set", "sweep.points=4096"] for m in ("halton", "mc")]
+    random = [["recover", "-c", mixed_cfg, "--set", f"sweep.method={m}",
+               "--set", "sweep.points=4096"] for m in ("halton", "mc")]
     out = str(tmp_path / "out")
     code = textwrap.dedent(f"""\
         import sys, sgqi.cli
-        exact = lambda: [m for m in sys.modules
-                         if m in ("fractions", "decimal")]
-        heavy = lambda: exact() + [m for m in sys.modules
-                                   if m.split(".")[0] in ("scipy", "_hashlib")]
-        stats = lambda: [m for m in heavy() if m.split(".")[:2] == ["scipy",
-                                                                     "stats"]]
-        print(heavy())
+        loaded = lambda *tops: [m for m in sys.modules
+                                if m in ("fractions", "decimal")
+                                or m.split(".")[0] in tops]
+        print(loaded("scipy", "_hashlib"))
         for argv in {commands!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(heavy())
-        for argv in {recover!r}:
+            print(loaded("scipy", "_hashlib"))
+        for argv in {random!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(stats() + exact())
+            print(loaded("scipy"))
         """)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n") == \
-        ["[]"] * (len(commands) + len(recover) + 1) + [""]
+        ["[]"] * (len(commands) + len(random) + 1) + [""]
+
+
+def test_library_products_leave_scipy_unloaded():
+    # build, evaluate_lattice, q_level and apply_Q apply tables through
+    # scipy's compiled kernel, loaded without importing any scipy module
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from sgqi import grids, quasi_interp, recovery
+        f = lambda X: np.sin(X[:, 0]) * np.cos(X[:, 1])
+        levels = tuple(sorted(np.ndindex(4, 3)))
+        delta = grids.LevelSet(d=2, levels=levels, xi=3.0, family="box")
+        rec = recovery.build(f, delta, 4)
+        recovery.evaluate_lattice(rec, [np.linspace(0, 1, 9)] * 2)
+        quasi_interp.q_level(f, 3, (2, 1))
+        quasi_interp.apply_Q(f, 4, (2, 2), [0.3, 0.7])
+        print([m for m in sys.modules
+               if m.split(".")[0] in ("scipy", "_hashlib")])
+        """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr

@@ -131,23 +131,58 @@ def test_tables_match_exact_rational_oracle(r):
                     (r, k, name, part)
 
 
+def product_tables(r, k, rng):
+    """Every kind of table the package applies to tensors, of order r at
+    level k: sample, surplus, chain, refinement and collocation."""
+    yield qi.sample_matrix(r, k)[0]
+    yield qi.surplus_matrix(r, k)[0]
+    yield qi._chain_matrix(r, k)[0]
+    yield qi.refine_matrix(r, k)
+    yield qi.collocation_matrix(r, k, rng.random(5))[0]
+
+
+def operands(n, rng):
+    """A vector, matrices of 3, 1 and 0 columns, and a transposed view."""
+    return (rng.standard_normal(n), rng.standard_normal((n, 3)),
+            rng.standard_normal((n, 1)), np.zeros((n, 0)),
+            rng.standard_normal((2, n)).T)
+
+
 @pytest.mark.parametrize("r", bspline.ORDERS)
 def test_table_products_match_scipy(r):
-    # a table times a vector or a matrix runs scipy's kernel, the
-    # transposed product (cubature weights) is numpy's bincount; both are
-    # bitwise equal to scipy's products with the oracle's CSR matrix
+    # a table times a vector or a matrix runs scipy's compiled kernel on
+    # the table's own arrays, bitwise scipy's product for every kind of
+    # table; the transposed product (cubature weights) is numpy's
+    # bincount; both are bitwise equal to scipy's products with the
+    # oracle's CSR matrix
     rng = np.random.default_rng(r)
     for k in range(13):
+        for T in product_tables(r, k, rng):
+            want = scipy_csr(T)
+            for X in operands(T.shape[1], rng):
+                got = T @ X
+                assert type(got) is np.ndarray
+                assert got.shape == (T.shape[0],) + X.shape[1:], (r, k)
+                assert np.array_equal(got, want @ X), (r, k, X.shape)
         for name, M, _, want in oracle_tables(r, k):
             n_rows, n_cols = M.shape
-            for X in (rng.standard_normal(n_cols),
-                      rng.standard_normal((n_cols, 3))):
+            for X in operands(n_cols, rng):
                 assert np.array_equal(M @ X, want @ X), (r, k, name)
             for y in (rng.standard_normal(n_rows),
                       bspline.integral_vector(r, k)):
                 got = M.rmatvec(y)
                 assert got.shape == (n_cols,)
                 assert np.array_equal(got, want.T.dot(y)), (r, k, name)
+
+
+def test_table_product_rejects_wrong_shapes():
+    # the compiled kernel checks no bounds, so the table checks the operand
+    W = qi.surplus_matrix(4, 3)[0]
+    n = W.shape[1]
+    for X in (np.ones(n - 1), np.ones(n + 1), np.ones((n + 1, 2)),
+              np.ones((n, 2, 2)), np.float64(1.0), np.ones((1, n))):
+        with pytest.raises(ValueError, match="cannot apply"):
+            W @ X
 
 
 def test_surplus_tables_match_faber_order2():
