@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -101,6 +104,69 @@ def test_rejects_points_below_one(method):
     with pytest.raises(ValueError, match="at least 1"):
         analysis.discrete_lq_error(lambda X: X[:, 0], rec, 2.0,
                                    method=method, points=0)
+
+
+@pytest.mark.parametrize("method", ["halton", "mc"])
+def test_rejects_non_integral_points(method):
+    # points=2.5 used to be truncated to 2 and return an error estimate
+    rec = recovery.build(lambda X: X[:, 0], box_set((2, 2)), 2)
+    err = lambda points: analysis.discrete_lq_error(
+        lambda X: X[:, 0] ** 2, rec, 2.0, method=method, points=points)
+    for points in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="whole number"):
+            err(points)
+    assert err(64.0) == err(64)
+
+
+def test_pcg64_shuffle_matches_numpy():
+    # the pure-Python stream is numpy's own: SeedSequence -> PCG64 ->
+    # Generator.shuffle, three shuffles per stream so that a shuffle
+    # starts on the buffered upper half of a 64-bit output
+    seeds = [*range(200), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 3,
+             2 ** 200 + 11, np.int64(2 ** 63 - 1), np.uint64(2 ** 64 - 1),
+             True]
+    sizes = [3, 4, 5, 8, 13, 31, 32, 33, 64, 65, 257, 1000, 4097]
+    for k, seed in enumerate(seeds):
+        ours, theirs = analysis._Pcg64(seed), np.random.default_rng(seed)
+        big = 70_000 if k % 40 == 0 or k >= 200 else sizes[k % 13]
+        for n in (2, sizes[(7 * k) % 13], big):
+            a, b = np.arange(n), np.arange(n)
+            ours.shuffle(a)
+            theirs.shuffle(b)
+            assert np.array_equal(a, b), (seed, n)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            analysis._Pcg64(seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng(seed)
+    # None seeds from OS entropy: a permutation, and a new one each time
+    a, b = np.arange(1000), np.arange(1000)
+    analysis._Pcg64(None).shuffle(a)
+    analysis._Pcg64(None).shuffle(b)
+    assert sorted(a) == list(range(1000)) and not np.array_equal(a, b)
+
+
+def test_halton_error_leaves_numpy_random_unloaded():
+    # numpy.random imports secrets, hashlib and OpenSSL's _hashlib; a
+    # Halton design for an integer or None seed needs none of them
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from sgqi import analysis, grids, recovery
+        f = lambda X: np.sin(X[:, 0]) * X[:, 1]
+        levels = tuple(sorted(np.ndindex(3, 3)))
+        delta = grids.LevelSet(d=2, levels=levels, xi=2.0, family="box")
+        rec = recovery.build(f, delta, 4)
+        for seed in (7, None):
+            e = analysis.discrete_lq_error(f, rec, 2.0, method="halton",
+                                           points=4096, seed=seed)
+            assert 0 < e < 1, e
+            print([m for m in sys.modules if m.split(".")[:2] ==
+                   ["numpy", "random"] or m in ("secrets", "_hashlib")])
+        """)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert (res.returncode, res.stdout) == (0, "[]\n[]\n"), res.stderr
 
 
 def test_halton_design_reused_per_integer_seed():

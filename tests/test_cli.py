@@ -735,12 +735,13 @@ def test_config_hash_falls_back_to_hashlib():
 def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     # scipy is slow to import: no command loads any scipy module.  Table
     # products load scipy's compiled CSR kernel from its extension file
-    # alone, and Halton and Monte Carlo error estimation draw their points
-    # in numpy.  The row hash comes from CPython's builtin SHA-256, so no
-    # command maps OpenSSL's libcrypto (_hashlib) either, recover with the
-    # lattice estimator included; halton and mc recover still may, because
-    # numpy.random imports hashlib.  Exact integrals are integer
-    # numerators, so no command loads fractions or decimal
+    # alone.  The row hash comes from CPython's builtin SHA-256, and Halton
+    # designs for integer seeds shuffle through a pure-Python copy of
+    # numpy's stream, so no command maps OpenSSL's libcrypto (_hashlib) or
+    # loads numpy.random, halton recover included; mc recover still may,
+    # because it draws through numpy.random, which imports hashlib.  Exact
+    # integrals are integer numerators, so no command loads fractions or
+    # decimal
     commands = [
         ["integrate", "-c", mixed_cfg],
         ["export-rule", "-c", mixed_cfg, "--set", "sweep.xi=2"],
@@ -750,28 +751,29 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
          "--set", "sweep.xi=2,4"],
         ["dump-grid", "-c", mixed_cfg, "--set", "sweep.xi=3"],
         ["recover", "-c", mixed_cfg, "--set", "sweep.method=lattice"],
+        ["recover", "-c", mixed_cfg, "--set", "sweep.method=halton",
+         "--set", "sweep.points=4096"],
     ]
-    random = [["recover", "-c", mixed_cfg, "--set", f"sweep.method={m}",
-               "--set", "sweep.points=4096"] for m in ("halton", "mc")]
+    mc = ["recover", "-c", mixed_cfg, "--set", "sweep.method=mc",
+          "--set", "sweep.points=4096"]
     out = str(tmp_path / "out")
     code = textwrap.dedent(f"""\
         import sys, sgqi.cli
-        loaded = lambda *tops: [m for m in sys.modules
-                                if m in ("fractions", "decimal")
-                                or m.split(".")[0] in tops]
-        print(loaded("scipy", "_hashlib"))
+        loaded = lambda *names: [m for m in sys.modules
+                                 if m in ("fractions", "decimal")
+                                 or any(m == n or m.startswith(n + ".")
+                                        for n in names)]
+        print(loaded("scipy", "_hashlib", "numpy.random"))
         for argv in {commands!r}:
             assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(loaded("scipy", "_hashlib"))
-        for argv in {random!r}:
-            assert sgqi.cli.main(argv + ["-o", {out!r}]) == 0, argv
-            print(loaded("scipy"))
+            print(loaded("scipy", "_hashlib", "numpy.random"))
+        assert sgqi.cli.main({mc!r} + ["-o", {out!r}]) == 0
+        print(loaded("scipy"))
         """)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n") == \
-        ["[]"] * (len(commands) + len(random) + 1) + [""]
+    assert res.stdout.split("\n") == ["[]"] * (len(commands) + 2) + [""]
 
 
 def test_library_products_leave_scipy_unloaded():
