@@ -50,12 +50,15 @@ def _lattice_axes(rec, resolution, offset):
     if resolution is None:
         kmax = rec.delta.max_level()
         counts = [(1 << (kmax[i] + 3)) + 1 for i in range(d)]
-    elif np.isscalar(resolution):
-        counts = [int(resolution)] * d
     else:
-        counts = [int(m) for m in resolution]
+        counts = ([resolution] * d if np.isscalar(resolution)
+                  else list(resolution))
         if len(counts) != d:
             raise ValueError("resolution length does not match dimension")
+        if not all(float(m).is_integer() for m in counts):
+            raise ValueError(f"resolution must be whole numbers: "
+                             f"{resolution!r}")
+        counts = list(map(int, counts))
     if any(m < 2 for m in counts):
         raise ValueError("resolution must be at least 2 per dimension")
     axes, wts = [], []
@@ -212,10 +215,12 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
     "halton", or "mc"; None picks the lattice unless its total size would
     exceed 2^24 points, then falls back to 10^6 Halton points.  q_norm may
     be inf for the lattice max, which is walked in tiles (see _tiles).
-    points (default 10^6) is a whole number of at least 1.  For "halton"
-    an integer seed names one design, cached and drawn without
-    numpy.random, and None draws a fresh one from OS entropy; a numpy
-    Generator draws through numpy.random, as "mc" always does.
+    resolution is one or d whole numbers of at least 2 (default
+    2^(k_i + 3) + 1 per axis); points (default 10^6) is a whole number of
+    at least 1.  For "halton" an integer seed names one design, cached and
+    drawn without numpy.random, and None draws a fresh one from OS
+    entropy; a numpy Generator draws through numpy.random, as "mc" always
+    does.
     Non-finite values of f raise ValueError.
     """
     if not (q_norm > 0):
@@ -278,11 +283,13 @@ def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,
     rec carry identical surpluses and drop out, so the sum runs over the
     shell of missing levels, each weighted 2^{gamma |k|_inf - |k|_1 / q}
     (gamma = spec.gamma) in the q coefficient norm and aggregated in the
-    tau power.
+    tau power, tau in (0, inf] (inf takes the max).
     """
     gamma = spec.gamma
     if gamma is None:
         raise ValueError("surrogate needs a gamma weight")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive: {tau!r}")
     if not (rec.delta.issubset(reference) and len(reference) > len(rec.delta)):
         raise ValueError("reference set must strictly contain the "
                          "reconstruction levels")
@@ -307,8 +314,13 @@ def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,
 # rate fitting
 
 def fit_rate(points) -> RateFit:
-    """Least-squares slope of log2(error) against log2(n)."""
-    pts = tuple((int(n), float(e)) for n, e in points)
+    """Least-squares slope of log2(error) against log2(n), n a whole
+    number of at least 1."""
+    pts = tuple(points)
+    if not all(n >= 1 and float(n).is_integer() for n, _ in pts):
+        raise ValueError(f"budgets must be whole numbers of at least 1: "
+                         f"{[n for n, _ in pts]}")
+    pts = tuple((int(n), float(e)) for n, e in pts)
     if len(pts) < 4:
         raise ValueError("need at least 4 points for a rate fit")
     ns = np.array([n for n, _ in pts], dtype=float)

@@ -165,8 +165,7 @@ def _experiment(cfg) -> tuple:
     make = lambda xi: grids.delta_for_family(
         xi, spec, family, theta_le_taustar_flag=flag)
     try:
-        spec.validate(strict=False)
-        make(0.0)  # surface epsilon/monotonicity problems as config errors
+        make(0.0)  # validates the spec; its ValueErrors are config errors
     except ValueError as e:
         raise ConfigError(str(e))
     return spec, family, make

@@ -62,8 +62,10 @@ class SmoothnessSpec:
 
     kind "mixed" uses the per-coordinate vector a (nondecreasing, with
     a_1 strictly smallest); kind "hybrid" uses (alpha, beta), optionally
-    with the energy exponent gamma.  epsilon overrides the default
-    class-B perturbation (half of its legal upper bound).
+    with the energy exponent gamma.  The class, A (sharp) or B
+    (epsilon-perturbed), is read off (p, theta, q) by classify_triple
+    alone, with no override; epsilon only sets the class-B perturbation
+    (default half of its legal upper bound).
     """
 
     d: int
@@ -82,13 +84,11 @@ class SmoothnessSpec:
         if self.a is not None:
             object.__setattr__(self, "a", tuple(float(v) for v in self.a))
 
-    def validate(self, strict: bool = True) -> None:
-        """Check parameter conditions.
-
-        strict=True enforces the inequalities the convergence rates
-        need (strict against 1/p and r); strict=False accepts boundary
-        parameters, enough for constructing the level sets themselves.
-        """
+    def validate(self) -> None:
+        """Check the parameter conditions the level sets need, boundary
+        included: 1/p <= a_1, a_d <= r and 1/p <= min(alpha, alpha+beta),
+        max(alpha, alpha+beta) <= r, where the convergence rates need the
+        strict inequalities.  ValueError names the first one violated."""
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         bspline._check_order(self.r)
@@ -97,24 +97,20 @@ class SmoothnessSpec:
             if not (v > 0):
                 raise ValueError(f"{name} must be in (0, inf]")
         ip = _inv(self.p)
-
-        def below(x, y):
-            return x < y if strict else x <= y
-
         if self.kind == "mixed":
             if self.a is None or len(self.a) != self.d:
                 raise ValueError("mixed kind needs a d-vector a")
             a = self.a
-            if not (below(ip, a[0]) and below(a[0], self.r)):
-                raise ValueError("need 1/p < a_1 < r")
+            if not ip <= a[0] <= self.r:
+                raise ValueError("need 1/p <= a_1 <= r")
             if self.d >= 2:
                 if not (a[0] < a[1]):
                     raise ValueError("need a_1 < a_2")
                 for i in range(1, self.d - 1):
                     if not (a[i] <= a[i + 1]):
                         raise ValueError("a must be nondecreasing")
-                if not below(a[-1], self.r):
-                    raise ValueError("need a_d < r")
+                if not a[-1] <= self.r:
+                    raise ValueError("need a_d <= r")
         elif self.kind == "hybrid":
             if self.alpha is None or self.beta is None:
                 raise ValueError("hybrid kind needs alpha and beta")
@@ -122,9 +118,9 @@ class SmoothnessSpec:
             if self.gamma is None and be == 0:
                 raise ValueError("hybrid beta must be nonzero")
             lo, hi = min(al, al + be), max(al, al + be)
-            if not (below(ip, lo) and below(hi, self.r)):
-                raise ValueError("need 1/p < min(alpha, alpha+beta) and "
-                                 "max(alpha, alpha+beta) < r")
+            if not (ip <= lo and hi <= self.r):
+                raise ValueError("need 1/p <= min(alpha, alpha+beta) and "
+                                 "max(alpha, alpha+beta) <= r")
             if self.gamma is not None:
                 g = self.gamma
                 if not g > 0:
@@ -138,9 +134,6 @@ class SmoothnessSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.epsilon is not None and not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-
-    def triple_class(self) -> str:
-        return classify_triple(self.p, self.theta, self.q)
 
 
 @dataclass(frozen=True)
@@ -300,7 +293,44 @@ def _build(xi, d, b, cinf, family) -> LevelSet:
                     family=family, phi=tuple(phis), gate=tuple(gates))
 
 
-def _pick_epsilon(spec: SmoothnessSpec, upper: float) -> float:
+def _family_spec(spec: SmoothnessSpec, family: str) -> SmoothnessSpec:
+    """spec, validated and of the kind family needs; for the energy family
+    the hybrid spec at beta - gamma."""
+    spec.validate()
+    if family == "energy":
+        if spec.kind != "hybrid" or spec.gamma is None:
+            raise ValueError("spec must be hybrid with gamma for energy grids")
+        return replace(spec, beta=spec.beta - spec.gamma)
+    if family not in ("mixed", "hybrid"):
+        raise ValueError(f"unknown family {family!r}")
+    if spec.kind != family:
+        raise ValueError(f"spec kind must be {family}")
+    return spec
+
+
+def _functional(spec: SmoothnessSpec, family: str, flag=None) -> tuple:
+    """(b, c, set name) of the family's functional for spec: sharp in class
+    A, epsilon-perturbed in class B, the class read off (p, theta, q); the
+    energy functional is the hybrid one at beta - gamma, sharp iff flag
+    (theta <= tau*).  A mixed set in d = 1 has nothing to perturb."""
+    spec = _family_spec(spec, family)
+    cls = classify_triple(spec.p, spec.theta, spec.q)
+    sharp, name = cls == "A", f"{family}-{cls}"
+    if family == "energy":
+        if flag is None:
+            raise ValueError("energy family needs the theta/tau* flag")
+        sharp, name = flag, "energy" if flag else "energy-eps"
+    tr = trade_exponent(spec.p, spec.q)
+    if family == "mixed":
+        a = spec.a
+        if sharp or spec.d == 1:
+            return tuple(ai - tr for ai in a), 0.0, name
+        upper = a[1] - a[0]
+    else:
+        al, beta = spec.alpha - tr, spec.beta
+        if sharp:
+            return (al,) * spec.d, beta, name
+        upper = min(al, abs(beta))
     if upper <= 0:
         raise ValueError("epsilon violates class-B constraint: "
                          "no legal interval for these parameters")
@@ -308,74 +338,30 @@ def _pick_epsilon(spec: SmoothnessSpec, upper: float) -> float:
     if not (0.0 < eps < upper):
         raise ValueError("epsilon violates class-B constraint: legal "
                          f"interval is (0, {upper!r})")
-    return eps
-
-
-def _mixed(spec: SmoothnessSpec, cls: str, flag) -> tuple:
-    """In d = 1 there is nothing to perturb and both classes coincide."""
-    if spec.kind != "mixed":
-        raise ValueError("spec kind must be mixed")
-    tr = trade_exponent(spec.p, spec.q)
-    a = spec.a
-    if cls == "A" or spec.d == 1:
-        return tuple(ai - tr for ai in a), 0.0, f"mixed-{cls}"
-    eps = _pick_epsilon(spec, a[1] - a[0])
-    return ((a[0] - tr,) + tuple(ai - eps - tr for ai in a[1:]), 0.0,
-            f"mixed-{cls}")
-
-
-def _hybrid(spec: SmoothnessSpec, cls: str, flag) -> tuple:
-    """Class A is sharp, class B epsilon-perturbed."""
-    if spec.kind != "hybrid":
-        raise ValueError("spec kind must be hybrid")
-    al, beta = spec.alpha - trade_exponent(spec.p, spec.q), spec.beta
-    if cls == "A":
-        return (al,) * spec.d, beta, f"hybrid-{cls}"
-    eps = _pick_epsilon(spec, min(al, abs(beta)))
+    if family == "mixed":
+        return (a[0] - tr,) + tuple(ai - eps - tr for ai in a[1:]), 0.0, name
     if beta > 0:
-        return (al + eps / spec.d,) * spec.d, beta - eps, f"hybrid-{cls}"
-    return (al - eps,) * spec.d, beta + eps, f"hybrid-{cls}"
+        return (al + eps / spec.d,) * spec.d, beta - eps, name
+    return (al - eps,) * spec.d, beta + eps, name
 
 
-def _energy(spec: SmoothnessSpec, cls: str, flag) -> tuple:
-    """The hybrid functional at beta - gamma; flag selects the sharp
-    (theta <= tau*) variant or the epsilon-perturbed one."""
-    if spec.kind != "hybrid" or spec.gamma is None:
-        raise ValueError("spec must be hybrid with gamma for energy grids")
-    if flag is None:
-        raise ValueError("energy family needs the theta/tau* flag")
-    b, cinf, _ = _hybrid(replace(spec, beta=spec.beta - spec.gamma),
-                         "A" if flag else "B", None)
-    return b, cinf, "energy" if flag else "energy-eps"
+def delta_hybrid(xi: float, spec: SmoothnessSpec) -> LevelSet:
+    """Level set for hybrid smoothness (alpha, beta), sharp in class A and
+    epsilon-perturbed in class B; the class is read off (p, theta, q)."""
+    return _build(xi, spec.d, *_functional(spec, "hybrid"))
 
 
-def _delta(xi: float, spec: SmoothnessSpec, functional, cls=None,
-           flag=None) -> LevelSet:
-    """The level set at xi of functional, one of _mixed, _hybrid and
-    _energy: each gives the (b, c, set name) of its family's functional
-    for a validated spec, the triple class and the theta/tau* flag."""
-    spec.validate(strict=False)
-    b, cinf, name = functional(
-        spec, spec.triple_class() if cls is None else cls, flag)
-    return _build(xi, spec.d, b, cinf, name)
-
-
-def delta_hybrid(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> LevelSet:
-    """Level set for hybrid smoothness (alpha, beta), class A or B."""
-    return _delta(xi, spec, _hybrid, cls)
-
-
-def delta_mixed(xi: float, spec: SmoothnessSpec, cls: str | None = None) -> LevelSet:
-    """Level set for mixed smoothness vector a, class A or B."""
-    return _delta(xi, spec, _mixed, cls)
+def delta_mixed(xi: float, spec: SmoothnessSpec) -> LevelSet:
+    """Level set for mixed smoothness vector a, sharp in class A and
+    epsilon-perturbed in class B; the class is read off (p, theta, q)."""
+    return _build(xi, spec.d, *_functional(spec, "mixed"))
 
 
 def delta_energy(xi: float, spec: SmoothnessSpec,
                  theta_le_taustar: bool) -> LevelSet:
-    """Level set for recovery measured in the energy norm with exponent
-    gamma: the hybrid one at beta - gamma, sharp (theta <= tau*) or
-    epsilon-perturbed."""
-    return _delta(xi, spec, _energy, flag=theta_le_taustar)
+    """Level set for the error in the energy norm with exponent gamma:
+    sharp if theta <= tau*, else epsilon-perturbed (see _functional)."""
+    return _build(xi, spec.d, *_functional(spec, "energy", theta_le_taustar))
 
 
 def comparison_sets(xi: float, lam: float, kind: str, d: int) -> LevelSet:
@@ -393,14 +379,13 @@ def comparison_sets(xi: float, lam: float, kind: str, d: int) -> LevelSet:
 
 
 def delta_for_family(xi: float, spec: SmoothnessSpec, family: str,
-                     cls: str | None = None,
                      theta_le_taustar_flag: bool | None = None) -> LevelSet:
     """The family's level set, through the module's delta_* functions."""
     if family == "energy":
         return delta_energy(xi, spec, theta_le_taustar_flag)
     if family not in ("mixed", "hybrid"):
         raise ValueError(f"unknown family {family!r}")
-    return (delta_mixed if family == "mixed" else delta_hybrid)(xi, spec, cls)
+    return (delta_mixed if family == "mixed" else delta_hybrid)(xi, spec)
 
 
 def nu_exponent(spec: SmoothnessSpec, family: str,
@@ -410,19 +395,13 @@ def nu_exponent(spec: SmoothnessSpec, family: str,
     With integration=True the trade-off term becomes (1/p - 1)_+, the
     cubature version of the same exponent.
     """
-    spec.validate(strict=False)
+    spec = _family_spec(spec, family)
     tr = trade_exponent(spec.p, 1.0 if integration else spec.q)
     if family == "mixed":
         return spec.a[0] - tr
-    if family not in ("hybrid", "energy"):
-        raise ValueError(f"unknown family {family!r}")
-    if family == "energy" and spec.gamma is None:
-        raise ValueError("energy family needs gamma")
-    # the energy exponent is the hybrid one at beta - gamma
-    be = spec.beta if family == "hybrid" else spec.beta - spec.gamma
-    if be > 0:
-        return spec.alpha + be / spec.d - tr
-    return spec.alpha + be - tr
+    if spec.beta > 0:
+        return spec.alpha + spec.beta / spec.d - tr
+    return spec.alpha + spec.beta - tr
 
 
 def xi_for_budget(n: int, make_delta) -> float:

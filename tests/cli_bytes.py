@@ -71,8 +71,10 @@ SETTINGS = [
     HYBRID,
     HYBRID[:2] + ("sweep.xi=2,4,6",),
     HYBRID + ("problem.gamma=",),
+    HYBRID[:2] + ("problem.beta=0.5", "problem.theta=2"),
     ENERGY,
     ENERGY + ("sweep.xi=2",),
+    ENERGY[:3] + ("problem.theta=1",),
     ("problem.family=fullgrid", "problem.lam=1", "sweep.xi=2"),
     ("problem.family=smolyak", "sweep.xi=3"),
     ("output.dat_dir=dats", "sweep.corpus=sinprod"),

@@ -118,6 +118,20 @@ def test_rejects_non_integral_points(method):
     assert err(64.0) == err(64)
 
 
+@pytest.mark.parametrize("resolution", [
+    33.9, 33.5, (33.5, 33.2), (33, 17.5), math.inf, math.nan, (33, math.inf)])
+def test_rejects_non_integral_resolution(resolution):
+    # 33.9 used to be truncated to a 33-point lattice, and inf raised
+    # OverflowError
+    rec = recovery.build(lambda X: X[:, 0], box_set((2, 2)), 2)
+    err = lambda res: analysis.discrete_lq_error(
+        lambda X: X[:, 0] ** 2, rec, 2.0, resolution=res)
+    with pytest.raises(ValueError, match="whole numbers"):
+        err(resolution)
+    assert err(33.0) == err(33)
+    assert err((np.float64(33.0), 17.0)) == err((33, 17))
+
+
 def test_pcg64_shuffle_matches_numpy():
     # the pure-Python stream is numpy's own: SeedSequence -> PCG64 ->
     # Generator.shuffle, three shuffles per stream so that a shuffle
@@ -322,6 +336,19 @@ def test_surrogate_reference_handling():
             reference=grids.comparison_sets(5.0, 1.0, "fullgrid", 2))
 
 
+def test_surrogate_rejects_nonpositive_tau():
+    # tau = -1 used to return 0.0, nan nan, and 0 ZeroDivisionError
+    f = lambda X: np.sin(X[:, 0] + X[:, 1])
+    rec = recovery.build(f, grids.delta_energy(3.0, ENERGY, True), 4)
+    ref = grids.delta_energy(5.0, ENERGY, True)
+    surrogate = lambda tau: analysis.energy_error_surrogate(
+        f, rec, ENERGY, tau, reference=ref)
+    for tau in (-1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            surrogate(tau)
+    assert 0.0 < surrogate(math.inf) <= surrogate(2.0)
+
+
 def test_fit_rate_exact_and_noisy():
     ns = [100, 200, 400, 800, 1600, 3200]
     fit = analysis.fit_rate([(n, 8.0 / n) for n in ns])
@@ -343,6 +370,21 @@ def test_fit_rate_validation():
         analysis.fit_rate([(10, 1.0), (10, 0.5), (40, 0.25), (80, 0.1)])
     with pytest.raises(ValueError, match="nonpositive"):
         analysis.fit_rate([(10, 1.0), (20, 0.0), (40, 0.25), (80, 0.1)])
+
+
+@pytest.mark.parametrize("budgets", [(0, 2, 3, 4), (-1, 2, 3, 4),
+                                     (1.5, 2.5, 3, 4), (1, 2, 3, math.inf),
+                                     (math.nan, 2, 3, 4)])
+def test_fit_rate_rejects_non_whole_budgets(budgets, capfd):
+    # a budget <= 0 reached LAPACK, which printed to stderr and raised
+    # LinAlgError; (1.5, 2.5, 3, 4) was fitted as (1, 2, 3, 4)
+    errors = (0.5, 0.3, 0.2, 0.1)
+    with pytest.raises(ValueError, match="whole numbers of at least 1"):
+        analysis.fit_rate(zip(budgets, errors))
+    assert capfd.readouterr().err == ""
+    fit = analysis.fit_rate(zip((1.0, 2.0, 3.0, 4.0), errors))
+    assert fit == analysis.fit_rate(zip((1, 2, 3, 4), errors))
+    assert [type(n) for n, _ in fit.points] == [int] * 4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

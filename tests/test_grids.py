@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -133,18 +134,21 @@ def test_downward_closure():
 
 
 def test_class_B_contains_class_A():
+    # p = q = 2: theta = 1 is class A, theta = 2 class B
     spec = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=2.0, q=2.0,
                                 kind="mixed", a=(1.0, 2.0))
+    sharp = replace(spec, theta=1.0)
     for xi in (3.0, 6.0):
-        a_set = grids.delta_mixed(xi, spec, cls="A")
-        b_set = grids.delta_mixed(xi, spec, cls="B")
+        a_set = grids.delta_mixed(xi, sharp)
+        b_set = grids.delta_mixed(xi, spec)
+        assert (a_set.family, b_set.family) == ("mixed-A", "mixed-B")
         assert a_set.issubset(b_set)
     for beta in (0.5, -0.5):
         spec = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=2.0, q=2.0,
                                     kind="hybrid", alpha=1.5, beta=beta)
         for xi in (3.0, 6.0):
-            assert grids.delta_hybrid(xi, spec, cls="A").issubset(
-                grids.delta_hybrid(xi, spec, cls="B"))
+            assert grids.delta_hybrid(xi, replace(spec, theta=1.0)).issubset(
+                grids.delta_hybrid(xi, spec))
 
 
 def test_energy_eps_contains_sharp():
@@ -211,34 +215,34 @@ def test_degenerate_unit_step_is_rejected():
 def _xi_cases():
     """(make_delta, d, b, c) of every family: mixed at d = 1..5 in both
     classes, hybrid with beta > 0 and beta < 0 (c < 0), energy (c < 0)
-    with both flags, fullgrid and smolyak."""
-    def case(private, spec, cls, flag, make):
-        b, c, _ = private(spec, cls or spec.triple_class(), flag)
+    with both flags, fullgrid and smolyak.  p = q = 2, so theta = 1 picks
+    class A and theta = 2 class B."""
+    def case(spec, family, flag, make):
+        b, c, _ = grids._functional(spec, family, flag)
         return make, spec.d, b, c
 
     out = []
     for d in range(1, 6):
-        spec = grids.SmoothnessSpec(d=d, r=4, p=2.0, theta=2.0, q=2.0,
-                                    kind="mixed",
-                                    a=tuple(1.0 + 0.25 * i for i in range(d)))
-        for cls in "AB":
-            out.append(case(grids._mixed, spec, cls, None,
-                            lambda xi, s=spec, c=cls: grids.delta_mixed(
-                                xi, s, c)))
+        for theta in (1.0, 2.0):
+            spec = grids.SmoothnessSpec(
+                d=d, r=4, p=2.0, theta=theta, q=2.0, kind="mixed",
+                a=tuple(1.0 + 0.25 * i for i in range(d)))
+            out.append(case(spec, "mixed", None,
+                            lambda xi, s=spec: grids.delta_mixed(xi, s)))
     pos = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
                                kind="hybrid", alpha=1.0, beta=0.5)
     neg = grids.SmoothnessSpec(d=3, r=4, p=2.0, theta=2.0, q=2.0,
                                kind="hybrid", alpha=2.0, beta=-0.5)
     for spec in (pos, neg):
-        for cls in "AB":
-            out.append(case(grids._hybrid, spec, cls, None,
-                            lambda xi, s=spec, c=cls: grids.delta_hybrid(
-                                xi, s, c)))
+        for theta in (1.0, 2.0):
+            s = replace(spec, theta=theta)
+            out.append(case(s, "hybrid", None,
+                            lambda xi, s=s: grids.delta_hybrid(xi, s)))
     energy = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=2.0, q=2.0,
                                   kind="hybrid", alpha=2.0, beta=0.5,
                                   gamma=1.0)
     for flag in (True, False):
-        out.append(case(grids._energy, energy, None, flag,
+        out.append(case(energy, "energy", flag,
                         lambda xi, f=flag: grids.delta_energy(xi, energy, f)))
     for d in (2, 3):
         out.append((lambda xi, d=d: grids.comparison_sets(
@@ -348,12 +352,16 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="unknown kind"):
         grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
                              kind="besov").validate()
-    # boundary case 1/p = alpha + beta: rejected strictly, usable relaxed
+    # boundary case 1/p = alpha + beta: accepted, and its level sets build
+    # in class A (theta = 1) and class B (theta = 2); past it, rejected
     edge = grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
                                 kind="hybrid", alpha=1.0, beta=-0.5)
-    with pytest.raises(ValueError):
-        edge.validate(strict=True)
-    edge.validate(strict=False)
+    edge.validate()
+    for theta, family in ((1.0, "hybrid-A"), (2.0, "hybrid-B")):
+        delta = grids.delta_hybrid(3.0, replace(edge, theta=theta))
+        assert delta.family == family and len(delta) > 1
+    with pytest.raises(ValueError, match=r"1/p <= min\(alpha"):
+        replace(edge, beta=-0.51).validate()
     with pytest.raises(ValueError, match="gamma"):
         grids.SmoothnessSpec(d=2, r=4, p=2.0, theta=1.0, q=2.0,
                              kind="hybrid", alpha=2.0, beta=1.0,
@@ -385,6 +393,20 @@ def test_family_dispatch():
         grids.delta_energy(3.0, MIXED, True)
     with pytest.raises(ValueError, match="must be mixed"):
         grids.delta_mixed(3.0, HYB_A)
+
+
+@pytest.mark.parametrize("spec, family", [
+    (MIXED, "hybrid"), (MIXED, "energy"), (HYB_A, "mixed"),
+    (HYB_A, "energy"), (ENERGY, "mixed"), (MIXED, "sparse")])
+def test_family_mismatch_raises_same_error(spec, family):
+    # nu_exponent used to raise TypeError on a mismatched kind, and a
+    # message of its own for energy without gamma
+    with pytest.raises(ValueError) as built:
+        grids.delta_for_family(3.0, spec, family, theta_le_taustar_flag=True)
+    with pytest.raises(ValueError) as nu:
+        grids.nu_exponent(spec, family)
+    assert str(nu.value) == str(built.value)
+    assert "must be" in str(nu.value) or "unknown family" in str(nu.value)
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,9 +500,10 @@ def family_sets(draw):
     """(make, n): a mixed (class A or B), hybrid (A or B) or energy (sharp
     or perturbed) level-set family with d = 2-5, and a budget."""
     d, r = draw(st.integers(2, 5)), draw(st.integers(2, 4))
-    kw = dict(d=d, r=r, p=2.0, theta=2.0, q=2.0)
     family = draw(st.sampled_from(["mixed", "hybrid", "energy"]))
     flag = draw(st.booleans())  # class A, or the sharp energy set
+    # p = q = 2: class A iff theta <= 1
+    kw = dict(d=d, r=r, p=2.0, theta=1.0 if flag else 2.0, q=2.0)
     if family == "mixed":
         a0 = draw(st.floats(0.6, r - 0.6))
         rest = draw(st.lists(st.floats(a0 + 0.05, r - 0.01),
@@ -493,8 +516,7 @@ def family_sets(draw):
         spec = grids.SmoothnessSpec(kind="hybrid", alpha=alpha, beta=beta,
                                     gamma=gamma, **kw)
     make = lambda xi: grids.delta_for_family(  # noqa: E731
-        xi, spec, family, cls="A" if flag else "B",
-        theta_le_taustar_flag=flag)
+        xi, spec, family, theta_le_taustar_flag=flag)
     try:
         make(0.0)
     except ValueError:  # beta = 0 or gamma, alpha too small for energy
