@@ -31,7 +31,6 @@ class TestFunction:
     label: str
     handle: object          # vectorized (npts, d) -> (npts,)
     exact_integral: float | None
-    membership: str
 
 
 @dataclass
@@ -371,31 +370,13 @@ def kink_integral_1d(lam: float) -> float:
 
 def corpus(d: int, r: int, spec: SmoothnessSpec):
     """Test functions: exact-reproduction control, smooth product, kink."""
-    deg = r - 1
-    funcs = [
-        TestFunction(
-            label="poly",
-            handle=lambda X, deg=deg: reduce(np.multiply, (X ** deg).T),
-            exact_integral=(1.0 / r) ** d,
-            membership=f"coordinate degree {deg} polynomial, "
-                       "reproduced exactly by the recovery operator",
-        ),
-        TestFunction(
-            label="sinprod",
-            handle=lambda X: reduce(np.multiply, np.sin(np.pi * X).T),
-            exact_integral=(2.0 / math.pi) ** d,
-            membership="analytic tensor product, in every class considered",
-        ),
+    deg, lams = r - 1, _kink_exponents(spec, r)
+    return [
+        TestFunction("poly", lambda X: reduce(np.multiply, (X ** deg).T),
+                     (1.0 / r) ** d),
+        TestFunction("sinprod",
+                     lambda X: reduce(np.multiply, np.sin(np.pi * X).T),
+                     (2.0 / math.pi) ** d),
+        TestFunction("kink", _kink_handle(lams),
+                     math.prod(kink_integral_1d(l) for l in lams)),
     ]
-    lams = _kink_exponents(spec, r)
-    integ = math.prod(kink_integral_1d(l) for l in lams)
-    desc = ", ".join(f"{l:.4g}" for l in lams)
-    funcs.append(TestFunction(
-        label="kink",
-        handle=_kink_handle(lams),
-        exact_integral=integ,
-        membership=f"product kink with exponents ({desc}); univariate "
-                   f"factor |t-1/2|^lam has smoothness lam + 1/p on the "
-                   f"sup-aggregated scale",
-    ))
-    return funcs

@@ -34,15 +34,12 @@ class CubatureRule:
 
     weights[i] is the weight of row i of grid (see grids.SampleGrid), so
     points() and weight_vector() are aligned, in lexicographic coordinate
-    order.
+    order.  The grid holds the level set, grid.delta, and so the
+    dimension and the budget.
     """
 
-    r: int
-    d: int
-    delta: LevelSet
     grid: SampleGrid
     weights: np.ndarray
-    budget: int
 
     def points(self) -> np.ndarray:
         return self.grid.coords()
@@ -54,8 +51,11 @@ class CubatureRule:
 @lru_cache(maxsize=None)
 def _axis_weights(r: int, k: int) -> np.ndarray:
     """Cubature weights of the univariate level-k surplus on its nodes:
-    (integral vector) @ (surplus matrix)."""
-    w = surplus_matrix(r, k)[0].rmatvec(bspline.integral_vector(r, k))
+    (integral vector) @ (surplus matrix), summed in the order of scipy's
+    transposed product."""
+    W, y = surplus_matrix(r, k), bspline.integral_vector(r, k)
+    rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    w = np.bincount(W.indices, W.data * y[rows], W.shape[1])
     w.flags.writeable = False  # the cache hands it to every caller
     return w
 
@@ -82,17 +82,14 @@ def assemble_weights(delta: LevelSet, r: int) -> CubatureRule:
     for k in delta.levels:
         m, T = tops[k[1:]]
         weights[T[:: 1 << (m - k[0])]] += _level_weights(r, k)
-    return CubatureRule(r=r, d=delta.d, delta=delta, grid=grid,
-                        weights=weights, budget=delta.budget())
+    return CubatureRule(grid=grid, weights=weights)
 
 
 def apply_rule(rule: CubatureRule, f) -> float:
     """Evaluate f once per grid point and return the weighted sum;
     non-finite values of f raise ValueError."""
-    fv = vectorize_handle(f, rule.d)
-    pts = rule.points()
-    vals = fv(pts)
-    return float(np.dot(rule.weight_vector(), vals))
+    vals = vectorize_handle(f, rule.grid.delta.d)(rule.points())
+    return float(np.dot(rule.weights, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +109,8 @@ def _exact_decimal(num: int, exp: int) -> str:
 
 def export_csv(rule: CubatureRule, fh) -> None:
     """Write `x_1,...,x_d,weight` rows; coordinates as exact decimals."""
-    header = ",".join(f"x_{i + 1}" for i in range(rule.d)) + ",weight"
-    fh.write(header + "\n")
+    names = [f"x_{i + 1}" for i in range(rule.grid.delta.d)]
+    fh.write(",".join(names) + ",weight\n")
     cols = []  # per axis, each distinct coordinate's string made once
     for col, Ki in zip(rule.grid.lattice().T.tolist(), rule.grid.K):
         text = {c: _exact_decimal(c, Ki) for c in set(col)}

@@ -335,7 +335,7 @@ def _functional(spec: SmoothnessSpec, family: str, flag=None) -> tuple:
         raise ValueError("epsilon violates class-B constraint: "
                          "no legal interval for these parameters")
     eps = spec.epsilon if spec.epsilon is not None else 0.5 * upper
-    if not (0.0 < eps < upper):
+    if not eps < upper:  # validate has checked eps > 0
         raise ValueError("epsilon violates class-B constraint: legal "
                          f"interval is (0, {upper!r})")
     if family == "mixed":

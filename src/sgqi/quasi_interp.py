@@ -31,7 +31,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from . import bspline
 __all__ = [
     "SurplusLevel", "Table", "q_level", "apply_Q", "sample_matrix",
     "surplus_matrix", "refine_matrix", "collocation_matrix",
-    "vectorize_handle", "contract", "surplus_level",
+    "vectorize_handle", "contract",
 ]
 
 # order -> (common denominator D, {j: D lam(j)}) of the finite even mask
@@ -164,15 +164,6 @@ class Table:
                        Y.ravel())
         return Y
 
-    @cached_property
-    def _rows(self):
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """y @ table, summed in the order of scipy's transposed product."""
-        return np.bincount(self.indices, self.data * y[self._rows],
-                           self.shape[1])
-
 
 def _table(parts, shape, den: int = 1) -> Table:
     """Table of the summed (row, col, weight) triplets of parts, each sum
@@ -189,22 +180,22 @@ def _table(parts, shape, den: int = 1) -> Table:
                  sums / den, shape)
 
 
-def _level_table(r: int, k: int, parts):
+def _level_table(r: int, k: int, parts) -> Table:
     lo, hi = bspline.shift_bounds(r, k)
-    return _table(parts, (hi - lo + 1, (1 << k) + 1), _MASKS[r][0]), lo
+    return _table(parts, (hi - lo + 1, (1 << k) + 1), _MASKS[r][0])
 
 
 @lru_cache(maxsize=None)
-def sample_matrix(r: int, k: int):
+def sample_matrix(r: int, k: int) -> Table:
     """Table of the sample functionals a_{k,s} over the node values, on the
-    rows of shift_bounds(r, k), and the first row's shift index."""
+    rows of shift_bounds(r, k)."""
     return _level_table(r, k, [_sample_numerators(r, k)])
 
 
 @lru_cache(maxsize=None)
-def surplus_matrix(r: int, k: int):
+def surplus_matrix(r: int, k: int) -> Table:
     """Table of all surplus functionals at level k over the node values,
-    and the first row's shift index.
+    on the rows of shift_bounds(r, k).
 
     Level k's sample table minus level k-1's carried up by the two-scale
     relation, its node j being node 2j of level k.
@@ -223,7 +214,7 @@ def _chain_matrix(r: int, m: int):
     row of each level (m + 2 offsets).  Rows keep their entries in order,
     so each row block of a product is bitwise that level's product with
     the every-2^(m-j)-th node subsample."""
-    tabs = [surplus_matrix(r, j)[0] for j in range(m + 1)]
+    tabs = [surplus_matrix(r, j) for j in range(m + 1)]
     first = np.cumsum([0] + [W.shape[0] for W in tabs])
     nnz = np.cumsum([0] + [len(W.data) for W in tabs])
     indptr = np.concatenate([[0]] + [W.indptr[1:] + n
@@ -345,28 +336,19 @@ def contract(T: np.ndarray, mats) -> np.ndarray:
 
 @dataclass
 class SurplusLevel:
-    """Dense surplus coefficients of one level: entry [i_1,...,i_d] is
-    c_{k, s_min + i}(f)."""
+    """Dense surplus coefficients of one level k: entry [i_1,...,i_d] is
+    c_{k, s_min + i}(f), s_min being shift_bounds(r, 0)[0] on every axis."""
 
-    k: tuple
     s_min: tuple
     coeffs: np.ndarray
-
-
-def surplus_level(T: np.ndarray, r: int, k: tuple, table) -> SurplusLevel:
-    """Coefficients of the level-k node tensor T under the univariate
-    table (surplus_matrix, or sample_matrix for Q_k itself), applied one
-    coordinate at a time."""
-    mats = [table(r, ki) for ki in k]
-    return SurplusLevel(k=k, s_min=tuple(lo for _, lo in mats),
-                        coeffs=contract(T, [W for W, _ in mats]))
 
 
 def q_level(f, r: int, k) -> SurplusLevel:
     """All surplus coefficients of the level k."""
     k = bspline._as_level(k)
     T = _node_tensor(vectorize_handle(f, len(k)), k)
-    return surplus_level(T, r, k, surplus_matrix)
+    return SurplusLevel((bspline.shift_bounds(r, 0)[0],) * len(k),
+                        contract(T, [surplus_matrix(r, ki) for ki in k]))
 
 
 def apply_Q(f, r: int, k, x) -> float | np.ndarray:
@@ -382,6 +364,7 @@ def apply_Q(f, r: int, k, x) -> float | np.ndarray:
     if not ((X >= 0.0) & (X <= 1.0)).all():  # NaN fails both
         raise ValueError("evaluation point outside domain or not finite")
     T = _node_tensor(vectorize_handle(f, d), k)
-    lvl = surplus_level(T, r, k, sample_matrix)
-    vals = bspline.eval_expansion(r, k, lvl.s_min, lvl.coeffs, X)
+    coeffs = contract(T, [sample_matrix(r, ki) for ki in k])
+    vals = bspline.eval_expansion(r, k, (bspline.shift_bounds(r, 0)[0],) * d,
+                                  coeffs, X)
     return float(vals[0]) if single else vals

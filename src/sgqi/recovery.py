@@ -33,7 +33,8 @@ from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
 
 @dataclass
 class Reconstruction:
-    """Surplus coefficients of R_Delta(f) plus sampling bookkeeping;
+    """Surplus coefficients of R_Delta(f) per level of delta, and
+    sample_budget, the number of distinct points f was sampled at;
     samples (read-only) is f at the rows of sample_grid(delta), or None
     for a reconstruction made from coefficients, which cannot be saved.
     The evaluation boxes (_level_groups) are built at the first evaluation
@@ -44,7 +45,6 @@ class Reconstruction:
     delta: LevelSet
     surplus: dict  # level vector -> SurplusLevel
     sample_budget: int
-    declared_budget: int
     samples: np.ndarray | None = None
 
     @cached_property
@@ -91,15 +91,13 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     built = {}
     for rest, m, T in grid._chain_tensors():
         W, first = _chain_matrix(r, m)
-        T = contract(vals[T], [W] + [surplus_matrix(r, ki)[0] for ki in rest])
+        T = contract(vals[T], [W] + [surplus_matrix(r, ki) for ki in rest])
         for j in range(m + 1):
-            built[(j,) + rest] = SurplusLevel(
-                k=(j,) + rest, s_min=(lo,) * delta.d,
-                coeffs=T[first[j]:first[j + 1]])
+            built[(j,) + rest] = SurplusLevel(s_min=(lo,) * delta.d,
+                                              coeffs=T[first[j]:first[j + 1]])
     return Reconstruction(r=r, d=delta.d, delta=delta,
                           surplus={k: built[k] for k in delta.levels},
-                          sample_budget=grid.distinct_points,
-                          declared_budget=delta.budget(), samples=vals)
+                          sample_budget=grid.distinct_points, samples=vals)
 
 
 def _shape(r: int, k: tuple) -> list:

@@ -3,14 +3,16 @@
     python3 tests/cli_bytes.py CHECKOUT > digests.txt
 
 runs `sgqi.cli.main` from CHECKOUT/src in process over CONFIGS (the
-README's and `tests/test_cli.py`'s MIXED_INI, a bare command line and two
-config files that do not parse), times the six commands, times SETTINGS:
-valid variants and every bad setting the config checks serve.  Each invocation runs in a fresh
-temporary directory and prints one tab-separated line: command, config,
-settings, exit code and the first 16 hex digits of the sha256 of stdout
-and of stderr.  Diffing the output of two checkouts shows every
-invocation whose exit code or bytes changed.  pytest does not collect
-this file.
+README's and `tests/test_cli.py`'s MIXED_INI, that config again at the odd
+orders r = 3 and r = 1, whose shifts are half-integers, a bare command
+line and two config files that do not parse), times the six commands,
+times SETTINGS: valid variants and every bad setting the config checks
+serve.  Each invocation runs in a fresh temporary directory and prints
+one tab-separated line: command, config, settings, exit code and the
+first 16 hex digits of the sha256 of stdout and of stderr.  Diffing the
+output of two checkouts shows every invocation whose exit code or bytes
+changed; run both under the same OPENBLAS_NUM_THREADS.  pytest does not
+collect this file.
 """
 
 import contextlib
@@ -38,6 +40,9 @@ CONFIGS = {
     "readme": MIXED_INI.replace("r = 2", "r = 4").replace(
         "budgets = 4,10,26,53", "budgets = 100,300,1000,3000"),
     "mixed": MIXED_INI,
+    "mixed-r3": MIXED_INI.replace("r = 2", "r = 3"),
+    "mixed-r1": MIXED_INI.replace("r = 2", "r = 1").replace("a = 1,2",
+                                                           "a = 0.6,0.9"),
     "bare": None,
     "no-section-header": "family = mixed\n",
     "not-utf-8": b"[problem]\nfamily = \xe9nergie\n",

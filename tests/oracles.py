@@ -403,10 +403,9 @@ def per_level_evaluate(rec, X, skip_tol: float = SKIP_TOL) -> np.ndarray:
                  for lvl in rec.surplus.values()), default=0.0)
     cutoff = skip_tol * scale
     out = np.zeros(X.shape[0])
-    for lvl in rec.surplus.values():
+    for k, lvl in rec.surplus.items():
         if float(np.max(np.abs(lvl.coeffs))) > cutoff:
-            out += bspline.eval_expansion(rec.r, lvl.k, lvl.s_min,
-                                          lvl.coeffs, X)
+            out += bspline.eval_expansion(rec.r, k, lvl.s_min, lvl.coeffs, X)
     return out
 
 

@@ -116,7 +116,7 @@ def _level_coeffs(f, r, k):
     fv = quasi_interp.vectorize_handle(f, len(k))
     T = quasi_interp._node_tensor(fv, k)
     for axis in range(len(k) - 1, -1, -1):
-        W, _ = quasi_interp.sample_matrix(r, k[axis])
+        W = quasi_interp.sample_matrix(r, k[axis])
         T = quasi_interp._apply_along_axis(W, T, axis)
     s_min = tuple(bspline.shift_bounds(r, ki)[0] for ki in k)
     return T, s_min
@@ -420,7 +420,7 @@ def test_criterion_11_oracle_equivalence():
     checked = 0
     for k in range(9):
         lo, hi = bspline.shift_bounds(2, k)
-        W, _ = quasi_interp.surplus_matrix(2, k)
+        W = quasi_interp.surplus_matrix(2, k)
         shift = 8 - k
         for s in range(lo, hi + 1):
             mine = surplus_weights(2, k, s)

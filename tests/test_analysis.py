@@ -406,8 +406,6 @@ def test_corpus_labels_and_integrals():
         lambda y, x: abs(x - 0.5) ** 0.5 * abs(y - 0.5) ** 1.5,
         0.0, 1.0, 0.0, 1.0)
     assert math.isclose(kink.exact_integral, num, rel_tol=1e-9)
-    for tf in funcs:
-        assert tf.membership
 
 
 def test_corpus_kink_univariate_for_hybrid():

@@ -87,7 +87,6 @@ def test_sample_accounting():
     sampled = np.concatenate(calls)
     assert rec.sample_budget == delta.distinct_points() == len(sampled)
     assert len(np.unique(sampled, axis=0)) == len(sampled)
-    assert rec.declared_budget == delta.budget()
     assert rec.delta is delta
 
 
@@ -182,11 +181,10 @@ def _random_reconstruction(delta, r, rng):
     for k in delta.levels:
         bounds = [bspline.shift_bounds(r, ki) for ki in k]
         surplus[k] = qi.SurplusLevel(
-            k=k, s_min=tuple(lo for lo, _ in bounds),
+            s_min=tuple(lo for lo, _ in bounds),
             coeffs=rng.uniform(-1.0, 1.0, [hi - lo + 1 for lo, hi in bounds]))
     return recovery.Reconstruction(r=r, d=delta.d, delta=delta,
-                                   surplus=surplus, sample_budget=0,
-                                   declared_budget=delta.budget())
+                                   surplus=surplus, sample_budget=0)
 
 
 def _probe_points(delta, rng):
@@ -519,7 +517,6 @@ def test_roundtrip_is_bitwise(tmp_path_factory, delta, r, seed):
         assert (back.surplus[k].coeffs.tobytes()
                 == rec.surplus[k].coeffs.tobytes())
     assert back.sample_budget == rec.sample_budget
-    assert back.declared_budget == rec.declared_budget
     assert back.samples.tobytes() == rec.samples.tobytes()
 
 
@@ -629,7 +626,7 @@ def test_load_rejects_version_1(tmp_path):
         "format": "sgqi-reconstruction", "version": 1, "r": 4, "d": 2,
         "xi": rec.delta.xi, "family": rec.delta.family,
         "sample_budget": rec.sample_budget,
-        "declared_budget": rec.declared_budget,
+        "declared_budget": rec.delta.budget(),
         "levels": [{"k": list(k), "s_min": list(lvl.s_min),
                     "shape": list(lvl.coeffs.shape),
                     "coeffs": lvl.coeffs.reshape(-1).tolist()}
