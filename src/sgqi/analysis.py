@@ -35,7 +35,9 @@ class TestFunction:
 
 @dataclass
 class RateFit:
-    points: tuple          # ((n, error), ...)
+    """log2(error) ~ slope log2(n) + intercept, and the root mean square of
+    the fit's residuals."""
+
     slope: float
     intercept: float
     residual: float
@@ -242,8 +244,9 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
             X = np.stack(np.meshgrid(*sub, indexing="ij"), -1)
             diff = np.abs(fv(X.reshape(R.size, -1)) - R.reshape(-1))
             w = reduce(np.multiply.outer, [wt[s] for wt, s in zip(wts, box)])
+            # numpy fixes the order of add.reduce (see cubature.apply_rule)
             parts.append(float(diff.max() if math.isinf(q_norm) else
-                               np.dot(w.reshape(-1), diff ** q_norm)))
+                               np.add.reduce(w.reshape(-1) * diff ** q_norm)))
         if math.isinf(q_norm):
             return max(parts)
         return math.fsum(parts) ** (1.0 / q_norm)
@@ -313,27 +316,30 @@ def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,
 # rate fitting
 
 def fit_rate(points) -> RateFit:
-    """Least-squares slope of log2(error) against log2(n), n a whole
-    number of at least 1."""
+    """Least-squares line through the (log2 n, log2 error) of points, n a
+    whole number of at least 1, in closed form: slope = sum(dx dy) /
+    sum(dx^2) about the means, each sum numpy's add.reduce, so no LAPACK
+    is loaded."""
     pts = tuple(points)
     if not all(n >= 1 and float(n).is_integer() for n, _ in pts):
         raise ValueError(f"budgets must be whole numbers of at least 1: "
                          f"{[n for n, _ in pts]}")
-    pts = tuple((int(n), float(e)) for n, e in pts)
     if len(pts) < 4:
         raise ValueError("need at least 4 points for a rate fit")
-    ns = np.array([n for n, _ in pts], dtype=float)
-    es = np.array([e for _, e in pts])
+    ns = np.array([float(n) for n, _ in pts])
+    es = np.array([float(e) for _, e in pts])
     if not (np.diff(ns) > 0).all():
         raise ValueError("budgets must be strictly increasing")
     if not (np.isfinite(es) & (es > 0)).all():
         raise ValueError("cannot fit log of nonpositive or non-finite")
-    A = np.vstack([np.log2(ns), np.ones_like(ns)]).T
-    y = np.log2(es)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return RateFit(points=pts, slope=float(coef[0]), intercept=float(coef[1]),
-                   residual=float(np.sqrt(np.mean(resid ** 2))))
+    n, x, y = len(pts), np.log2(ns), np.log2(es)
+    xm, ym = np.add.reduce(x) / n, np.add.reduce(y) / n
+    dx = x - xm
+    slope = np.add.reduce(dx * (y - ym)) / np.add.reduce(dx * dx)
+    intercept = ym - slope * xm
+    resid = y - (slope * x + intercept)
+    return RateFit(float(slope), float(intercept),
+                   float(np.sqrt(np.add.reduce(resid ** 2) / n)))
 
 
 # ---------------------------------------------------------------------------

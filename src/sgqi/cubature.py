@@ -89,7 +89,9 @@ def apply_rule(rule: CubatureRule, f) -> float:
     """Evaluate f once per grid point and return the weighted sum;
     non-finite values of f raise ValueError."""
     vals = vectorize_handle(f, rule.grid.delta.d)(rule.points())
-    return float(np.dot(rule.weights, vals))
+    # numpy fixes the order of add.reduce, where BLAS ddot would split a
+    # long sum across its threads
+    return float(np.add.reduce(rule.weights * vals))
 
 
 # ---------------------------------------------------------------------------
