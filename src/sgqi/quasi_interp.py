@@ -365,6 +365,6 @@ def apply_Q(f, r: int, k, x) -> float | np.ndarray:
         raise ValueError("evaluation point outside domain or not finite")
     T = _node_tensor(vectorize_handle(f, d), k)
     coeffs = contract(T, [sample_matrix(r, ki) for ki in k])
-    vals = bspline.eval_expansion(r, k, (bspline.shift_bounds(r, 0)[0],) * d,
-                                  coeffs, X)
+    s_min = (bspline.shift_bounds(r, 0)[0],) * d
+    vals = bspline.eval_expansion(r, k, s_min, coeffs, X)
     return float(vals[0]) if single else vals
