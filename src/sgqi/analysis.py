@@ -12,7 +12,7 @@ import itertools
 import math
 import numbers
 import operator
-import os
+import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -97,95 +97,25 @@ def _primes(d: int) -> list:
     return found
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(h, mult):
-    """One of SeedSequence's two hash chains of 32-bit words."""
-    def hashmix(v):
-        nonlocal h
-        v ^= h
-        h = h * mult & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-    return hashmix
-
-
-class _Pcg64:
-    """np.random.default_rng(seed) for an integer seed, or None for fresh
-    OS entropy, reduced to Generator.shuffle, in Python integers so that
-    numpy.random (which maps OpenSSL through secrets) is never imported.
-    SeedSequence hashes the seed into the state and increment of PCG64,
-    whose XSL-RR outputs (O'Neill, "PCG", HMC-CS-2014-0905) give two
-    32-bit draws each, low half first.  shuffle walks Fisher-Yates from
-    the top, drawing each swap index by masked rejection.  The stream is
-    numpy 2.4.6's; NEP 19 does not promise it across numpy versions, and
-    a test checks it bitwise against numpy's.
-    """
-
-    def __init__(self, seed):
-        n = (int.from_bytes(os.urandom(16), "little") if seed is None else
-             operator.index(seed))
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words = [n >> s & _M32 for s in range(0, n.bit_length() or 1, 32)]
-        hashmix = _hasher(0x43b0d7e5, 0x931e8875)
-        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
-
-        def mix(t, w):  # pool[t] takes in the hashed word w
-            x = (0xca01f9dd * pool[t] - 0x4973f715 * hashmix(w)) & _M32
-            pool[t] = x ^ x >> 16
-
-        for s, t in itertools.permutations(range(4), 2):
-            mix(t, pool[s])
-        for w in words[4:]:
-            for t in range(4):
-                mix(t, w)
-        out = _hasher(0x8b51f9dd, 0x58f38ded)
-        w = [out(v) for v in pool * 2]
-        v = [w[k + 1] << 32 | w[k] for k in (0, 2, 4, 6)]  # 64-bit words
-        inc = (v[2] << 65 | v[3] << 1 | 1) & _M128
-        self._draw = self._draws(v[0] << 64 | v[1], inc).__next__
-
-    @staticmethod
-    def _draws(state, inc):
-        state = (state + inc) * _PCG_MULT + inc  # PCG64's seeding steps
-        while True:
-            state = (state * _PCG_MULT + inc) & _M128
-            x = (state >> 64 ^ state) & _M64
-            x = x * (_M64 + 2) >> (state >> 122) & _M64  # rotate right
-            yield x & _M32
-            yield x >> 32
-
-    def shuffle(self, a):
-        """Permute the 1-D array a in place, as Generator.shuffle does for
-        fewer than 2^32 entries (beyond, numpy draws 64 bits at a time)."""
-        x, draw = a.tolist(), self._draw
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = draw() & mask
-            while j > i:
-                j = draw() & mask
-            x[i], x[j] = x[j], x[i]
-        a[:] = x
-
-
 @lru_cache(maxsize=4)
 def _halton_design(d: int, points: int, seed) -> np.ndarray:
     """Scrambled Halton points (Owen, "A randomized Halton algorithm in R",
     arXiv:1706.02808, 2017), (points, d), F-contiguous and read-only, as
     the cache shares them: column i sums the digits of the point index in
     the i-th prime base, each put through its own random permutation.
-    Bitwise scipy.stats.qmc.Halton(d, scramble=True, seed=seed)
-    .random(points): the same shuffles and sum, drawn from the same
-    stream.  For an integer or None seed that is default_rng(seed)'s,
-    made by _Pcg64 without importing numpy.random; a Generator shuffles
-    through its first spawned child, and so draws anew on every call.
-    Once every index is spent its digits are 0, and the remaining terms
-    add the scalar perm[0] * base^-j.
+    An integer or None seed shuffles through random.Random(seed), Python's
+    Mersenne Twister (None seeds it from OS entropy), so numpy.random is
+    never imported.  A Generator shuffles through its first spawned child,
+    and so draws anew on every call, bitwise as scipy.stats.qmc.Halton(d,
+    scramble=True, seed=seed).random(points) does; any other seed shuffles
+    through np.random.default_rng(seed).  Once every index is spent its
+    digits are 0, and the remaining terms add the scalar perm[0] * base^-j.
     """
-    rng = (_Pcg64(seed) if seed is None or isinstance(seed, numbers.Integral)
+    if isinstance(seed, numbers.Integral):
+        seed = operator.index(seed)  # np.int64(7) and 7 name one design
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+    rng = (random.Random(seed) if seed is None or isinstance(seed, int)
            else seed.spawn(1)[0] if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
     X = np.zeros((d, points))
@@ -219,9 +149,9 @@ def discrete_lq_error(f, rec, q_norm: float, resolution=None, offset=False,
     resolution is one or d whole numbers of at least 2 (default
     2^(k_i + 3) + 1 per axis); points (default 10^6) is a whole number of
     at least 1.  For "halton" an integer seed names one design, cached and
-    drawn without numpy.random, and None draws a fresh one from OS
-    entropy; a numpy Generator draws through numpy.random, as "mc" always
-    does.
+    shuffled through random.Random (see _halton_design), and None draws a
+    fresh one from OS entropy; a numpy Generator draws through
+    numpy.random, as "mc" always does.
     Non-finite values of f raise ValueError.
     """
     if not (q_norm > 0):

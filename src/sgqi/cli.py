@@ -161,6 +161,9 @@ def _experiment(cfg) -> tuple:
         spec = grids.SmoothnessSpec(kind="hybrid", alpha=alpha, beta=beta,
                                     gamma=gamma, **kw)
     tau = _get(cfg, "problem.tau", float, q)
+    # an unset tau is q, which the spec checks below
+    _check(tau > 0 or "tau" not in cfg["problem"],
+           f"problem.tau must be positive: {tau!r}")
     flag = grids.theta_le_taustar(spec.theta, tau)
     make = lambda xi: grids.delta_for_family(
         xi, spec, family, theta_le_taustar_flag=flag)

@@ -11,8 +11,7 @@ serve.  Each invocation runs in a fresh temporary directory and prints
 one tab-separated line: command, config, settings, exit code and the
 first 16 hex digits of the sha256 of stdout and of stderr.  Diffing the
 output of two checkouts shows every invocation whose exit code or bytes
-changed; run both under the same OPENBLAS_NUM_THREADS.  pytest does not
-collect this file.
+changed.  pytest does not collect this file.
 """
 
 import contextlib
@@ -72,6 +71,7 @@ SETTINGS = [
     ("sweep.lq=inf", "sweep.points=auto"),
     ("problem.epsilon=auto", "problem.tau=3"),
     ("problem.epsilon=", "sweep.xi=3"),
+    ("problem.tau=inf",),
     ("sweep.budgets=,100, 26",),
     HYBRID,
     HYBRID[:2] + ("sweep.xi=2,4,6",),
@@ -97,6 +97,8 @@ SETTINGS = [
     ("problem.family=hybrid",),
     ENERGY[:2],
     ("problem.tau=x",),
+    ("problem.tau=-1",),
+    ("problem.tau=nan",),
     ("problem.family=energy", "problem.alpha=0.6", "problem.beta=1e-12",
      "problem.gamma=0.6", "problem.theta=2"),
     ("problem.family=sobolev",),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -132,34 +133,6 @@ def test_rejects_non_integral_resolution(resolution):
     assert err((np.float64(33.0), 17.0)) == err((33, 17))
 
 
-def test_pcg64_shuffle_matches_numpy():
-    # the pure-Python stream is numpy's own: SeedSequence -> PCG64 ->
-    # Generator.shuffle, three shuffles per stream so that a shuffle
-    # starts on the buffered upper half of a 64-bit output
-    seeds = [*range(200), 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 127 + 3,
-             2 ** 200 + 11, np.int64(2 ** 63 - 1), np.uint64(2 ** 64 - 1),
-             True]
-    sizes = [3, 4, 5, 8, 13, 31, 32, 33, 64, 65, 257, 1000, 4097]
-    for k, seed in enumerate(seeds):
-        ours, theirs = analysis._Pcg64(seed), np.random.default_rng(seed)
-        big = 70_000 if k % 40 == 0 or k >= 200 else sizes[k % 13]
-        for n in (2, sizes[(7 * k) % 13], big):
-            a, b = np.arange(n), np.arange(n)
-            ours.shuffle(a)
-            theirs.shuffle(b)
-            assert np.array_equal(a, b), (seed, n)
-    for seed in (-1, np.int64(-1)):
-        with pytest.raises(ValueError, match="non-negative"):
-            analysis._Pcg64(seed)
-        with pytest.raises(ValueError, match="non-negative"):
-            np.random.default_rng(seed)
-    # None seeds from OS entropy: a permutation, and a new one each time
-    a, b = np.arange(1000), np.arange(1000)
-    analysis._Pcg64(None).shuffle(a)
-    analysis._Pcg64(None).shuffle(b)
-    assert sorted(a) == list(range(1000)) and not np.array_equal(a, b)
-
-
 def test_halton_error_leaves_numpy_random_unloaded():
     # numpy.random imports secrets, hashlib and OpenSSL's _hashlib; a
     # Halton design for an integer or None seed needs none of them
@@ -212,31 +185,51 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 1001])
 def test_halton_design_matches_scipy(d):
-    # differential check against the scipy engine the design replaced;
-    # d = 1001 runs past the 1000 primes scipy keeps in a table
+    # differential check against scipy's engine for a Generator seed, which
+    # both shuffle through its first spawned child; d = 1001 runs past the
+    # 1000 primes scipy keeps in a table
     from scipy.stats import qmc
 
-    seeds = (7,) if d > 6 else (0, 7, np.int64(12345))
-    sizes = [3] if d > 6 else [1, 2, 3, 8192, 10 ** 5]
-    for seed in seeds:
-        for n in sizes:
-            got = analysis._halton_design(d, n, seed)
-            want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
-            assert same_bits(got, want), (seed, n)
+    for n in [3] if d > 6 else [1, 2, 3, 8192, 10 ** 5]:
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        draws = []
+        for _ in range(2):  # each call spawns a new child of the parent
+            got = analysis._halton_design.__wrapped__(d, n, ours)
+            want = qmc.Halton(d=d, scramble=True, seed=theirs).random(n)
+            assert same_bits(got, want), n
             assert got.flags.f_contiguous and not got.flags.writeable
+            draws.append(got)
+        assert not np.array_equal(*draws)
 
 
-def test_halton_design_generator_seed_matches_scipy():
-    from scipy.stats import qmc
-
-    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-    draws = []
-    for _ in range(2):  # each call spawns a new child of the parent
-        got = analysis._halton_design.__wrapped__(3, 1000, ours)
-        want = qmc.Halton(d=3, scramble=True, seed=theirs).random(1000)
-        assert same_bits(got, want)
-        draws.append(got)
-    assert not np.array_equal(*draws)
+def test_halton_design_integer_seed():
+    # an integer seed shuffles through random.Random.  Whatever the
+    # permutations, the first base^m points of column i put one point in
+    # each of base^m equal cells, as the unscrambled Halton design does
+    design = analysis._halton_design.__wrapped__
+    for d in (1, 2, 3, 5):
+        for seed in range(40):
+            X = design(d, 20_000, seed)
+            for col, base in zip(X.T, analysis._primes(d)):
+                n = base
+                while n <= 20_000:
+                    cells = np.sort(np.floor(col[:n] * n))
+                    assert np.array_equal(cells, np.arange(n)), (seed, n)
+                    n *= base
+    seven = design(3, 1000, 7)
+    for same in (np.int64(7), np.uint64(7)):
+        assert same_bits(design(3, 1000, same), seven)
+    assert same_bits(design(3, 1000, True), design(3, 1000, 1))
+    assert not np.array_equal(design(3, 1000, 8), seven)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            design(3, 1000, seed)
+    # None seeds from OS entropy: a new design each time
+    assert not np.array_equal(design(3, 1000, None), design(3, 1000, None))
+    # the stream is pinned, so a change to it shows here
+    assert hashlib.sha256(analysis._halton_design(3, 1000, 7).tobytes()) \
+        .hexdigest() == ("8a338963df302e74bc196d1832e17d2a"
+                         "7698d54c2aed557dfff94a052a0c118e")
 
 
 @pytest.mark.parametrize("offset", [False, True])

@@ -284,8 +284,12 @@ def test_output_does_not_depend_on_blas_threads(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["recover", "integrate"])
 def test_poly_rows_fit_no_slope(tmp_path, capsys, command):
-    # poly is reproduced exactly, so a slope fitted to its rounding-level
-    # errors (0.347 on the integrate row at budget 3000) means nothing
+    # recover reproduces poly exactly once the set holds every level with
+    # all entries <= k0 (k0 = 0 for r <= 2, 1 for r = 3, 2 for r = 4), here
+    # from budget 1000 on: the sets for 100 and 300 lack levels of
+    # {0,1,2}^2 and read 0.0161 and 0.00119.  Neither those errors nor the
+    # rounding-level ones follow a rate, so a slope fitted to them (0.347 on
+    # the integrate row at budget 3000) means nothing
     from sgqi import cli
 
     path = tmp_path / "config.ini"
@@ -563,6 +567,32 @@ def test_exit_2_degenerate_level_set(capsys):
     assert out.out == "" and "degenerate" in out.err
 
 
+ENERGY = ["problem.family=energy", "problem.alpha=2", "problem.beta=0.5",
+          "problem.gamma=1", "problem.theta=1", "problem.r=4"]
+
+
+@pytest.mark.parametrize("tau", ["-1", "nan", "0"])
+def test_exit_2_tau_not_positive(mixed_cfg, capsys, monkeypatch, tau):
+    # gridinfo printed an energy-eps row and exited 0
+    from sgqi import cli, grids
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("level set made before tau was checked")
+
+    monkeypatch.setattr(grids, "delta_for_family", unexpected)
+    argv = ["gridinfo", "-c", mixed_cfg]
+    for item in ENERGY + [f"problem.tau={tau}"]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: problem.tau must be positive: {float(tau)!r}\n")
+    monkeypatch.undo()
+    # tau = inf is valid, and theta <= tau* = 1 makes the sharp set
+    argv[-1] = "problem.tau=inf"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith("energy,")
+
+
 @pytest.mark.parametrize("budgets", ["0", "-5", "100,-1", "abc", " , "])
 @pytest.mark.parametrize("command", ["export-rule", "dump-grid"])
 def test_exit_2_bad_single_budget(mixed_cfg, capsys, command, budgets):
@@ -768,10 +798,10 @@ def test_import_leaves_scipy_stats_unloaded(mixed_cfg, tmp_path):
     # scipy is slow to import: no command loads any scipy module.  Table
     # products load scipy's compiled CSR kernel from its extension file
     # alone.  The row hash comes from CPython's builtin SHA-256, and Halton
-    # designs for integer seeds shuffle through a pure-Python copy of
-    # numpy's stream, so no command maps OpenSSL's libcrypto (_hashlib) or
-    # loads numpy.random, halton recover included; mc recover still may,
-    # because it draws through numpy.random, which imports hashlib.  Exact
+    # designs for integer seeds shuffle through Python's random.Random, so
+    # no command maps OpenSSL's libcrypto (_hashlib) or loads numpy.random,
+    # halton recover included; mc recover still may, because it draws
+    # through numpy.random, which imports hashlib.  Exact
     # integrals are integer numerators, so no command loads fractions or
     # decimal
     commands = [
