@@ -191,15 +191,25 @@ def test_halton_design_matches_scipy(d):
     from scipy.stats import qmc
 
     for n in [3] if d > 6 else [1, 2, 3, 8192, 10 ** 5]:
-        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
-        draws = []
-        for _ in range(2):  # each call spawns a new child of the parent
-            got = analysis._halton_design.__wrapped__(d, n, ours)
-            want = qmc.Halton(d=d, scramble=True, seed=theirs).random(n)
-            assert same_bits(got, want), n
-            assert got.flags.f_contiguous and not got.flags.writeable
-            draws.append(got)
-        assert not np.array_equal(*draws)
+        got = analysis._halton_design.__wrapped__(
+            d, n, np.random.default_rng(n))
+        want = qmc.Halton(d=d, scramble=True,
+                          seed=np.random.default_rng(n)).random(n)
+        assert same_bits(got, want), n
+        assert got.flags.f_contiguous and not got.flags.writeable
+
+
+def test_halton_design_generator_seed_matches_scipy():
+    from scipy.stats import qmc
+
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    draws = []
+    for _ in range(2):  # each call spawns a new child of the parent
+        got = analysis._halton_design.__wrapped__(3, 1000, ours)
+        want = qmc.Halton(d=3, scramble=True, seed=theirs).random(1000)
+        assert same_bits(got, want)
+        draws.append(got)
+    assert not np.array_equal(*draws)
 
 
 def test_halton_design_integer_seed():
