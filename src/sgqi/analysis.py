@@ -122,8 +122,10 @@ def _halton_design(d: int, points: int, seed) -> np.ndarray:
     for col, base in zip(X, _primes(d)):
         digits = math.ceil(54 / math.log2(base)) - 1  # base^-j > 2^-54
         perms = np.tile(np.arange(base), (digits, 1))
-        for perm in perms:
-            rng.shuffle(perm)
+        for perm in perms:  # Random swaps list items faster than numpy's
+            items = perm.tolist() if isinstance(rng, random.Random) else perm
+            rng.shuffle(items)
+            perm[:] = items
         q, top, b2r = np.arange(points), points - 1, 1.0 / base
         for perm in perms:
             if top:  # some index still has a nonzero digit here
@@ -228,13 +230,13 @@ def energy_error_surrogate(f, rec, spec: SmoothnessSpec, tau: float,
     ref = recovery.build(f, reference, rec.r)
     q = spec.q
     terms = []
-    for k, lvl in sorted(ref.surplus.items()):
+    for k in sorted(ref.surplus):
         if k in rec.surplus:
             continue  # identical surplus, exact zero residual
         lg = gamma * max(k)
         if not math.isinf(q):
             lg -= sum(k) / q
-        terms.append(2.0 ** lg * _coeff_norm(lvl.coeffs, q))
+        terms.append(2.0 ** lg * _coeff_norm(ref.surplus[k].coeffs, q))
     if not terms:
         return 0.0
     if math.isinf(tau):

@@ -273,11 +273,11 @@ def _sweep_command(cfg, integrate: bool):
                 rec = recovery.build(tf.handle, delta, spec.r)
                 err = analysis.discrete_lq_error(tf.handle, rec, **ekw)
                 n_samples = rec.sample_budget
-            pts.append((n_samples, err))
+            pts.append((n_samples, err))  # equal n: one set, one error
             slope = ""
             if tf.label != "poly":  # exact: its errors are rounding noise
-                try:  # too few points, a zero error or a plateau: left empty
-                    slope = analysis.fit_rate(pts).slope
+                try:  # too few points or a zero error: left empty
+                    slope = analysis.fit_rate(sorted(dict(pts).items())).slope
                 except ValueError:
                     pass
             rows.append([delta.family, tf.label, n, xi, delta.budget(),

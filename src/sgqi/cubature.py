@@ -22,9 +22,9 @@ from .recovery import Reconstruction
 def integrate_reconstruction(rec: Reconstruction) -> float:
     """Exact integral of the reconstruction over the unit cube."""
     total = 0.0
-    for k, lvl in sorted(rec.surplus.items()):
+    for k in sorted(rec.surplus):  # one level computed at a time
         rows = [bspline.integral_vector(rec.r, ki)[None, :] for ki in k]
-        total += float(contract(lvl.coeffs, rows).reshape(()))
+        total += float(contract(rec.surplus[k].coeffs, rows).reshape(()))
     return total
 
 

@@ -2,23 +2,24 @@
 and evaluate the reconstruction anywhere in the cube.
 
 The reconstruction is sum over levels k in Delta of the level detail
-q_k(f), each stored as a dense per-level coefficient array.  Building
-samples f once at every distinct point of the (downward closed) set's grid,
-so the number of function evaluations is auditable, then gathers the node
-values of each chain of levels agreeing off axis 0 once.  The level set
-and those samples determine every coefficient, so a dump (save/load) holds
-just them and load rebuilds the rest.  Evaluation sums a few boxes, as
-the combination technique writes a sparse-grid function as a sum of
-anisotropic full-grid ones: levels that differ along one axis are merged
-exactly into one expansion on the finest of them by B-spline refinement,
-and neighbouring such chains are lifted onto one box level and added
-while that costs no more coefficients.
+q_k(f), a dense coefficient array computed when read.  Building samples f
+once at every distinct point of the (downward closed) set's grid, so the
+number of function evaluations is auditable, then gathers the node values
+of each chain of levels agreeing off axis 0 and contracts them off it.
+The level set and those samples determine every coefficient, so a dump
+(save/load) holds just them and load rebuilds the rest.  Evaluation sums
+a few boxes, as the combination technique writes a sparse-grid function
+as a sum of anisotropic full-grid ones: levels that differ along one axis
+are merged exactly into one expansion on the finest of them by B-spline
+refinement, and neighbouring such chains are lifted onto one box level
+and added while that costs no more coefficients.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,19 +32,57 @@ from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
                            surplus_matrix, vectorize_handle)
 
 
+class _Surplus(Mapping):
+    """Read-only {level: SurplusLevel} of a built reconstruction in the
+    order of delta.levels.  Per axis-0 chain rest of levels 0..m it keeps
+    U, the level-(m, rest) node values contracted off axis 0.  Level (j,
+    rest) is computed when read, as surplus_matrix(r, j) along axis 0 of
+    U[::2^(m-j)], bitwise row block j of _chain_matrix(r, m) @ U."""
+
+    def __init__(self, r: int, delta: LevelSet, chains: dict):
+        self._r, self._delta, self._chains = r, delta, chains
+
+    def __getitem__(self, k) -> SurplusLevel:
+        if k not in self:
+            raise KeyError(k)
+        m, U = self._chains[k[1:]]
+        c = _apply_along_axis(surplus_matrix(self._r, k[0]),
+                              U[::1 << (m - k[0])], 0)
+        c.flags.writeable = False
+        return SurplusLevel((bspline.shift_bounds(self._r, 0)[0],) * len(k),
+                            c)
+
+    def __contains__(self, k) -> bool:
+        return k in self._delta._index
+
+    def __iter__(self):
+        return iter(self._delta.levels)
+
+    def __len__(self) -> int:
+        return len(self._delta.levels)
+
+    def chain(self, rest) -> list:
+        """Read-only levels (0..m, rest), from one stacked product."""
+        m, U = self._chains[rest]
+        W, first = _chain_matrix(self._r, m)
+        C = _apply_along_axis(W, U, 0)
+        C.flags.writeable = False
+        return [C[a:b] for a, b in zip(first, first[1:])]
+
+
 @dataclass
 class Reconstruction:
-    """Surplus coefficients of R_Delta(f) per level of delta, and
-    sample_budget, the number of distinct points f was sampled at;
-    samples (read-only) is f at the rows of sample_grid(delta), or None
-    for a reconstruction made from coefficients, which cannot be saved.
-    The evaluation boxes (_level_groups) are built at the first evaluation
-    and kept, so a later write to a coefficient array is not seen."""
+    """Surplus coefficients of R_Delta(f) per level of delta (computed when
+    read, and read-only, if built) and sample_budget, the number of distinct
+    points f was sampled at; samples (read-only) is f at the rows of
+    sample_grid(delta), or None for a reconstruction made from coefficients,
+    which cannot be saved.  The evaluation boxes (_level_groups) are built
+    at the first evaluation and kept: a later write to a level is not seen."""
 
     r: int
     d: int
     delta: LevelSet
-    surplus: dict  # level vector -> SurplusLevel
+    surplus: Mapping  # level vector -> SurplusLevel
     sample_budget: int
     samples: np.ndarray | None = None
 
@@ -71,13 +110,9 @@ def build_from_samples(values, delta: LevelSet, r: int) -> Reconstruction:
 
 
 def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
-    """Per axis-0 chain, one contract of the samples at the level-(m, rest)
-    nodes, whose rows grid._chain_tensors assembles from the chain's own
-    block and its parents' tensors: off axis 0 by the surplus tables of
-    rest, then along it by the stacked tables of levels (0..m, rest);
-    level j's coefficients are its row block.  As contract applies axis 0
-    last and a table treats each column alone, every level is bitwise
-    q_level's."""
+    """Per axis-0 chain, the samples at the level-(m, rest) nodes (rows from
+    grid._chain_tensors) contracted off axis 0 by the surplus tables of
+    rest, as q_level's contract does before axis 0, kept in a _Surplus."""
     delta = grid.delta
     vals = np.array(values, dtype=float)  # owned, so it can be frozen
     if vals.shape != (grid.distinct_points,):
@@ -87,16 +122,14 @@ def _build(values, grid: SampleGrid, r: int) -> Reconstruction:
     if bad:
         raise ValueError(f"{bad} of {vals.size} samples are non-finite")
     vals.flags.writeable = False
-    lo = bspline.shift_bounds(r, 0)[0]  # the first shift of every level
     built = {}
     for rest, m, T in grid._chain_tensors():
-        W, first = _chain_matrix(r, m)
-        T = contract(vals[T], [W] + [surplus_matrix(r, ki) for ki in rest])
-        for j in range(m + 1):
-            built[(j,) + rest] = SurplusLevel(s_min=(lo,) * delta.d,
-                                              coeffs=T[first[j]:first[j + 1]])
+        U = vals[T]
+        for i in reversed(range(1, delta.d)):
+            U = _apply_along_axis(surplus_matrix(r, rest[i - 1]), U, i)
+        built[rest] = m, U
     return Reconstruction(r=r, d=delta.d, delta=delta,
-                          surplus={k: built[k] for k in delta.levels},
+                          surplus=_Surplus(r, delta, built),
                           sample_budget=grid.distinct_points, samples=vals)
 
 
@@ -131,28 +164,33 @@ def _level_groups(rec: Reconstruction):
     one per box of _box_plan, whose sum equals sum_k q_k on [0,1]^d
     exactly.
 
-    The chains run along axis 0 (grids.chains).  A chain of levels 0..m
-    is refined Horner-style from level 0 up to the box's axis-0 level,
-    c = R_j c, plus c_{j+1} while j < m, with R_j the two-scale
-    refinement quasi_interp.refine_matrix; then lifted by R along every
-    other axis where the top is below the box and added into the box's
-    accumulator, so the reconstruction's arrays are never written.  Every
-    level starts at the same shift, so the box keeps s_min.
+    The chains run along axis 0 (grids.chains), a built one's levels read
+    at once (_Surplus.chain).  A chain of levels 0..m is refined
+    Horner-style from level 0 up to the box's axis-0 level, c = R_j c,
+    plus c_{j+1} while j < m, with R_j the two-scale refinement
+    quasi_interp.refine_matrix; then lifted by R along every other axis
+    where the top is below the box and added into the box's accumulator,
+    so the reconstruction's arrays are never written.  Every level, and
+    so the box, starts at the shift shift_bounds(r, 0)[0].
     """
     r, surplus = rec.r, rec.surplus
+    s_min = (bspline.shift_bounds(r, 0)[0],) * rec.d
     for box, tops in _box_plan(r, surplus):
         acc = np.zeros(_shape(r, box))
         for top in tops:
-            c = surplus[(0,) + top[1:]].coeffs
+            levels = (surplus.chain(top[1:]) if isinstance(surplus, _Surplus)
+                      else [surplus[(j,) + top[1:]].coeffs
+                            for j in range(top[0] + 1)])
+            c = levels[0]
             for j in range(box[0]):
                 c = _apply_along_axis(refine_matrix(r, j), c, 0)
                 if j < top[0]:
-                    c = c + surplus[(j + 1,) + top[1:]].coeffs
+                    c = c + levels[j + 1]
             for i in range(1, rec.d):
                 for j in range(top[i], box[i]):
                     c = _apply_along_axis(refine_matrix(r, j), c, i)
             acc += c
-        yield box, surplus[top].s_min, acc
+        yield box, s_min, acc
 
 
 def evaluate_batch(rec: Reconstruction, points) -> np.ndarray:

@@ -73,6 +73,8 @@ SETTINGS = [
     ("problem.epsilon=", "sweep.xi=3"),
     ("problem.tau=inf",),
     ("sweep.budgets=,100, 26",),
+    ("sweep.budgets=100,110,300,1000,3000",),
+    ("sweep.budgets=300,100,1000,3000",),
     HYBRID,
     HYBRID[:2] + ("sweep.xi=2,4,6",),
     HYBRID + ("problem.gamma=",),

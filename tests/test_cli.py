@@ -302,6 +302,24 @@ def test_poly_rows_fit_no_slope(tmp_path, capsys, command):
                and r[2] == "3000")
 
 
+def test_slope_fits_each_level_set_once(tmp_path, capsys):
+    # budgets 100 and 110 give one level set (21 points) and so one error;
+    # a repeated n, or budgets out of order, blanked every later slope
+    from sgqi import cli
+
+    path = tmp_path / "config.ini"
+    path.write_text(README_INI)
+    slopes = []
+    for budgets in ("100,300,1000,3000,10000", "100,110,300,1000,3000,10000",
+                    "300,100,1000,3000,10000"):
+        assert cli.main(["recover", "-c", str(path), "--set=sweep.corpus=kink",
+                         f"--set=sweep.budgets={budgets}"]) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        slopes.append([r[header.index("slope_so_far")] for r in rows[-2:]])
+    assert "" not in slopes[0]
+    assert slopes[1] == slopes[2] == slopes[0]
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("argv", [
     ["export-rule", "--set=sweep.xi={}"],

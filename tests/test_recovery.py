@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -332,6 +333,8 @@ def test_chain_build_is_bitwise_per_level(delta, r, seed):
         want = qi.q_level(f, r, k)
         assert rec.surplus[k].s_min == want.s_min
         assert rec.surplus[k].coeffs.tobytes() == want.coeffs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rec.surplus[k].coeffs[...] = 0.0
     sg = grids.sample_grid(delta)
     dims = [(1 << Ki) + 1 for Ki in sg.K]
     want = [np.ravel_multi_index([int(v * (1 << Ki)) for v, Ki in
@@ -484,6 +487,27 @@ def test_boxes_are_built_once_per_reconstruction(monkeypatch):
     assert len(built) == 1 and built[0] is rec
 
 
+def test_levels_are_computed_when_read(monkeypatch, tmp_path):
+    # build and load stop before the stacked axis-0 product; the first
+    # evaluation runs it once per chain
+    def boom(r, m):
+        raise RuntimeError("stacked axis-0 product")
+
+    monkeypatch.setattr(recovery, "_chain_matrix", boom)
+    delta = grids.delta_mixed(4.0, MIXED)
+    recovery.save(recovery.build(smooth2, delta, 3), tmp_path / "rec.json")
+    rec = recovery.load(tmp_path / "rec.json")
+    calls = []
+
+    def spy(r, m, real=qi._chain_matrix):
+        calls.append(m)
+        return real(r, m)
+
+    monkeypatch.setattr(recovery, "_chain_matrix", spy)
+    recovery.evaluate_batch(rec, np.random.default_rng(4).random((30, 2)))
+    assert calls == [m for _, m in sorted(grids.chains(delta.levels).items())]
+
+
 def test_roundtrip_serialization(tmp_path):
     rec = recovery.build(smooth2, grids.delta_mixed(3.0, MIXED), 3)
     path = tmp_path / "rec.json"
@@ -546,13 +570,16 @@ def test_save_needs_samples(tmp_path):
 
 
 def _nan_dump():
-    # f = 1: R(0.1, 0.1) is 1, carried by the level-(0, 0) spline at shift 0
+    # f = 1: R(0.1, 0.1) is 1, carried by the level-(0, 0) spline at shift
+    # 0; built levels are read-only, so the NaN goes into writable copies
     rec = recovery.build(lambda X: np.ones(len(X)),
                          grids.delta_mixed(4.0, MIXED), 4)
     dump = json.loads(json.dumps(recovery.to_json_dict(rec)))
-    rec.surplus[(0, 0)].coeffs[1, 1] = np.nan
+    copies = {k: qi.SurplusLevel(lvl.s_min, lvl.coeffs.copy())
+              for k, lvl in rec.surplus.items()}
+    copies[(0, 0)].coeffs[1, 1] = np.nan
     dump["samples"][3] = np.nan
-    return rec, dump
+    return dataclasses.replace(rec, surplus=copies, samples=None), dump
 
 
 def test_nan_coefficient_is_not_skipped_and_dump_is_rejected():
