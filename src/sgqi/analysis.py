@@ -52,7 +52,7 @@ def _lattice_axes(rec, resolution, offset):
         kmax = rec.delta.max_level()
         counts = [(1 << (kmax[i] + 3)) + 1 for i in range(d)]
     else:
-        counts = ([resolution] * d if np.isscalar(resolution)
+        counts = ([resolution] * d if np.ndim(resolution) == 0
                   else list(resolution))
         if len(counts) != d:
             raise ValueError("resolution length does not match dimension")

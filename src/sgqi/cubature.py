@@ -33,9 +33,9 @@ class CubatureRule:
     """Point weights lambda_x for integrating sampled functions.
 
     weights[i] is the weight of row i of grid (see grids.SampleGrid), so
-    points() and weight_vector() are aligned, in lexicographic coordinate
-    order.  The grid holds the level set, grid.delta, and so the
-    dimension and the budget.
+    points() and weights are aligned, in lexicographic coordinate order.
+    The grid holds the level set, grid.delta, and so the dimension and the
+    budget.
     """
 
     grid: SampleGrid
@@ -43,9 +43,6 @@ class CubatureRule:
 
     def points(self) -> np.ndarray:
         return self.grid.coords()
-
-    def weight_vector(self) -> np.ndarray:
-        return self.weights.copy()
 
 
 @lru_cache(maxsize=None)

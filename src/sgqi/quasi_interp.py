@@ -21,7 +21,8 @@ level-(k-1) one carried to level k by refine_matrix.  For odd orders the
 level-k sample functionals sit at the even half-integer shifts and the
 refined -Q_{k-1} lands on the odd ones.  With this convention the
 telescoping identity sum_{k' <= k} q_{k'} = Q_k holds exactly for every
-order, which the test suite checks directly.
+order, which the test suite checks directly, and evaluation relies on it:
+it sums a built chain of levels along axis 0 by one sample table.
 """
 
 from __future__ import annotations
@@ -205,25 +206,6 @@ def surplus_matrix(r: int, k: int) -> Table:
         parts += [(rows, 2 * cols, -vals) for rows, cols, vals in
                   _refine_rows(r, k - 1, *_sample_numerators(r, k - 1))]
     return _level_table(r, k, parts)
-
-
-@lru_cache(maxsize=None)
-def _chain_matrix(r: int, m: int):
-    """surplus_matrix(r, j) for j = 0..m stacked into one Table over the
-    level-m nodes, level j's node c being node c 2^(m-j), and the first
-    row of each level (m + 2 offsets).  Rows keep their entries in order,
-    so each row block of a product is bitwise that level's product with
-    the every-2^(m-j)-th node subsample."""
-    tabs = [surplus_matrix(r, j) for j in range(m + 1)]
-    first = np.cumsum([0] + [W.shape[0] for W in tabs])
-    nnz = np.cumsum([0] + [len(W.data) for W in tabs])
-    indptr = np.concatenate([[0]] + [W.indptr[1:] + n
-                                     for W, n in zip(tabs, nnz)])
-    indices = np.concatenate([W.indices << (m - j)
-                              for j, W in enumerate(tabs)])
-    return Table(indptr.astype(np.int32), indices,
-                 np.concatenate([W.data for W in tabs]),
-                 (int(first[-1]), (1 << m) + 1)), first.tolist()
 
 
 @lru_cache(maxsize=None)

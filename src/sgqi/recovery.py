@@ -9,10 +9,11 @@ of each chain of levels agreeing off axis 0 and contracts them off it.
 The level set and those samples determine every coefficient, so a dump
 (save/load) holds just them and load rebuilds the rest.  Evaluation sums
 a few boxes, as the combination technique writes a sparse-grid function
-as a sum of anisotropic full-grid ones: levels that differ along one axis
-are merged exactly into one expansion on the finest of them by B-spline
-refinement, and neighbouring such chains are lifted onto one box level
-and added while that costs no more coefficients.
+as a sum of anisotropic full-grid ones: the details of a chain's levels,
+which differ along axis 0 only, telescope to Q_m along that axis, one
+expansion at the finest of them, and neighbouring chains are lifted onto
+one box level by B-spline refinement and added while that costs no more
+coefficients.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import bspline
 from .grids import LevelSet, SampleGrid, chains, sample_grid
-from .quasi_interp import (SurplusLevel, _apply_along_axis, _chain_matrix,
+from .quasi_interp import (SurplusLevel, _apply_along_axis,
                            collocation_matrix, contract, refine_matrix,
-                           surplus_matrix, vectorize_handle)
+                           sample_matrix, surplus_matrix, vectorize_handle)
 
 
 class _Surplus(Mapping):
@@ -37,7 +38,8 @@ class _Surplus(Mapping):
     order of delta.levels.  Per axis-0 chain rest of levels 0..m it keeps
     U, the level-(m, rest) node values contracted off axis 0.  Level (j,
     rest) is computed when read, as surplus_matrix(r, j) along axis 0 of
-    U[::2^(m-j)], bitwise row block j of _chain_matrix(r, m) @ U."""
+    U[::2^(m-j)]; the chain's sum over j, which telescopes to Q_m along
+    axis 0, is sample_matrix(r, m) along axis 0 of U (chain_sum)."""
 
     def __init__(self, r: int, delta: LevelSet, chains: dict):
         self._r, self._delta, self._chains = r, delta, chains
@@ -61,13 +63,11 @@ class _Surplus(Mapping):
     def __len__(self) -> int:
         return len(self._delta.levels)
 
-    def chain(self, rest) -> list:
-        """Read-only levels (0..m, rest), from one stacked product."""
+    def chain_sum(self, rest) -> np.ndarray:
+        """The sum of the levels (0..m, rest) as one level-(m, rest)
+        expansion, from one product."""
         m, U = self._chains[rest]
-        W, first = _chain_matrix(self._r, m)
-        C = _apply_along_axis(W, U, 0)
-        C.flags.writeable = False
-        return [C[a:b] for a, b in zip(first, first[1:])]
+        return _apply_along_axis(sample_matrix(self._r, m), U, 0)
 
 
 @dataclass
@@ -77,7 +77,8 @@ class Reconstruction:
     points f was sampled at; samples (read-only) is f at the rows of
     sample_grid(delta), or None for a reconstruction made from coefficients,
     which cannot be saved.  The evaluation boxes (_level_groups) are built
-    at the first evaluation and kept: a later write to a level is not seen."""
+    at the first evaluation, from a built reconstruction's chain sums or
+    else from its levels, and kept: a later write to a level is not seen."""
 
     r: int
     d: int
@@ -164,32 +165,30 @@ def _level_groups(rec: Reconstruction):
     one per box of _box_plan, whose sum equals sum_k q_k on [0,1]^d
     exactly.
 
-    The chains run along axis 0 (grids.chains), a built one's levels read
-    at once (_Surplus.chain).  A chain of levels 0..m is refined
-    Horner-style from level 0 up to the box's axis-0 level, c = R_j c,
-    plus c_{j+1} while j < m, with R_j the two-scale refinement
-    quasi_interp.refine_matrix; then lifted by R along every other axis
-    where the top is below the box and added into the box's accumulator,
-    so the reconstruction's arrays are never written.  Every level, and
-    so the box, starts at the shift shift_bounds(r, 0)[0].
+    The chains run along axis 0 (grids.chains).  A built chain of levels
+    0..m is one part, its sum at its top level (_Surplus.chain_sum, by the
+    telescoping identity); a chain of coefficients has one part per level.
+    Each part is lifted by the two-scale refinement
+    quasi_interp.refine_matrix along every axis where its level is below
+    the box's and added into the box's accumulator, so the
+    reconstruction's arrays are never written.  Every level, and so the
+    box, starts at the shift shift_bounds(r, 0)[0].
     """
     r, surplus = rec.r, rec.surplus
     s_min = (bspline.shift_bounds(r, 0)[0],) * rec.d
     for box, tops in _box_plan(r, surplus):
         acc = np.zeros(_shape(r, box))
         for top in tops:
-            levels = (surplus.chain(top[1:]) if isinstance(surplus, _Surplus)
-                      else [surplus[(j,) + top[1:]].coeffs
-                            for j in range(top[0] + 1)])
-            c = levels[0]
-            for j in range(box[0]):
-                c = _apply_along_axis(refine_matrix(r, j), c, 0)
-                if j < top[0]:
-                    c = c + levels[j + 1]
-            for i in range(1, rec.d):
-                for j in range(top[i], box[i]):
-                    c = _apply_along_axis(refine_matrix(r, j), c, i)
-            acc += c
+            rest = top[1:]
+            parts = ([(top, surplus.chain_sum(rest))]
+                     if isinstance(surplus, _Surplus) else
+                     [((j,) + rest, surplus[(j,) + rest].coeffs)
+                      for j in range(top[0] + 1)])
+            for k, c in parts:
+                for i in range(rec.d):
+                    for j in range(k[i], box[i]):
+                        c = _apply_along_axis(refine_matrix(r, j), c, i)
+                acc += c
         yield box, s_min, acc
 
 

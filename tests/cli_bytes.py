@@ -11,7 +11,8 @@ serve.  Each invocation runs in a fresh temporary directory and prints
 one tab-separated line: command, config, settings, exit code and the
 first 16 hex digits of the sha256 of stdout and of stderr.  Diffing the
 output of two checkouts shows every invocation whose exit code or bytes
-changed.  pytest does not collect this file.
+changed.  pytest does not collect this file; `tests/test_cli.py` runs the
+command line through its run_main.
 """
 
 import contextlib
@@ -152,16 +153,25 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run(main, argv):
+def run_main(main, argv, cwd=None):
+    """(exit code, stdout, stderr) of main(argv) run in process in the
+    directory cwd (default: the current one), which is restored after.
+    An exception that would print a traceback at the command line gives
+    its type name as the code and its message on stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse rejects the command line
-            code = e.code
-        except Exception as e:  # a traceback at the command line
-            code = type(e).__name__
-            print(e, file=sys.stderr)
+    home = os.getcwd()
+    try:
+        os.chdir(cwd or home)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the command line
+                code = e.code
+            except Exception as e:
+                code = type(e).__name__
+                print(e, file=sys.stderr)
+    finally:
+        os.chdir(home)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -170,7 +180,6 @@ def main(checkout):
     from sgqi import cli
 
     print(f"running {cli.__file__}", file=sys.stderr)
-    home = os.getcwd()
     for name, ini in CONFIGS.items():
         for command in COMMANDS:
             for setting in SETTINGS:
@@ -178,18 +187,14 @@ def main(checkout):
                 for item in setting:
                     argv += [item] if item.startswith("-") else ["--set", item]
                 with tempfile.TemporaryDirectory() as tmp:
-                    os.chdir(tmp)
-                    try:
-                        with open("afile", "w"):
-                            pass
-                        if ini is not None:
-                            with open("config.ini", "wb") as fh:
-                                fh.write(ini if isinstance(ini, bytes)
-                                         else ini.encode())
-                            argv += ["-c", "config.ini"]
-                        code, out, err = _run(cli.main, argv)
-                    finally:
-                        os.chdir(home)
+                    with open(os.path.join(tmp, "afile"), "w"):
+                        pass
+                    if ini is not None:
+                        with open(os.path.join(tmp, "config.ini"), "wb") as fh:
+                            fh.write(ini if isinstance(ini, bytes)
+                                     else ini.encode())
+                        argv += ["-c", "config.ini"]
+                    code, out, err = run_main(cli.main, argv, tmp)
                 print("\t".join([command, name, " ".join(setting), str(code),
                                  _digest(out), _digest(err)]), flush=True)
 

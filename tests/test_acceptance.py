@@ -297,7 +297,7 @@ def test_criterion_07_cubature_exactness():
                 xi += 0.25
             rule = cubature.assemble_weights(make(xi), r)
             worst_sum = max(worst_sum,
-                            abs(math.fsum(rule.weight_vector()) - 1.0))
+                            abs(math.fsum(rule.weights) - 1.0))
             for e in itertools.product(range(r), repeat=2):
                 f = lambda X, e=e: np.prod(X ** np.asarray(e), axis=1)
                 exact = 1.0
@@ -308,7 +308,7 @@ def test_criterion_07_cubature_exactness():
             # weight sum must hold on cruder grids too
             small = cubature.assemble_weights(make(xi / 2.0), r)
             worst_sum = max(worst_sum,
-                            abs(math.fsum(small.weight_vector()) - 1.0))
+                            abs(math.fsum(small.weights) - 1.0))
     ok = worst_sum <= 1e-10 and worst_poly <= 1e-9
     _report(7, ok, f"weight sum off by {worst_sum:.2e} (tol 1e-10), "
                    f"max monomial error {worst_poly:.2e} (tol 1e-9)")

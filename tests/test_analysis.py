@@ -120,16 +120,17 @@ def test_rejects_non_integral_points(method):
 
 
 @pytest.mark.parametrize("resolution", [
-    33.9, 33.5, (33.5, 33.2), (33, 17.5), math.inf, math.nan, (33, math.inf)])
+    33.9, 33.5, (33.5, 33.2), (33, 17.5), math.inf, math.nan, (33, math.inf),
+    np.array(33.5)])
 def test_rejects_non_integral_resolution(resolution):
-    # 33.9 used to be truncated to a 33-point lattice, and inf raised
-    # OverflowError
+    # 33.9 used to be truncated to a 33-point lattice, inf raised
+    # OverflowError and a 0-d array TypeError
     rec = recovery.build(lambda X: X[:, 0], box_set((2, 2)), 2)
     err = lambda res: analysis.discrete_lq_error(
         lambda X: X[:, 0] ** 2, rec, 2.0, resolution=res)
     with pytest.raises(ValueError, match="whole numbers"):
         err(resolution)
-    assert err(33.0) == err(33)
+    assert err(33.0) == err(33) == err(np.array(33))
     assert err((np.float64(33.0), 17.0)) == err((33, 17))
 
 

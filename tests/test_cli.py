@@ -1,4 +1,10 @@
-"""End-to-end checks of the command line driver via subprocess."""
+"""End-to-end checks of the command line driver.
+
+Most tests run cli.main in process, through the runner of
+tests/cli_bytes.py; those that test the process itself (the entry point
+and its exit status, the environment, a closed stdout, which modules get
+loaded) start a fresh interpreter.
+"""
 
 import csv
 import hashlib
@@ -13,10 +19,20 @@ import textwrap
 
 import pytest
 
+from cli_bytes import run_main
 
-def run_cli(*argv, cwd=None, env=None):
+
+def run_cli(*argv):
+    """cli.main(argv) run in process, as (returncode, stdout, stderr)."""
+    from sgqi import cli
+
+    return subprocess.CompletedProcess(argv, *run_main(cli.main, list(argv)))
+
+
+def run_process(*argv, env=None):
+    """python -m sgqi.cli argv run in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "sgqi.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, env=env)
 
 
 MIXED_INI = """\
@@ -202,6 +218,28 @@ def test_export_rule(mixed_cfg):
         assert 0.0 <= float(row[1]) <= 1.0
 
 
+@pytest.mark.parametrize("command, settings, code", [
+    ("gridinfo", [], 0),
+    ("recover", ["--set=sweep.budgets=4,10"], 0),
+    ("integrate", ["--set=sweep.budgets=4,10"], 0),
+    ("compare", ["--set=problem.family=hybrid", "--set=problem.alpha=1.5",
+                 "--set=problem.beta=-0.5", "--set=sweep.xi=2,4"], 0),
+    ("export-rule", ["--set=sweep.xi=2"], 0),
+    ("dump-grid", ["--set=sweep.xi=3"], 0),
+    ("gridinfo", ["--set=bogus.key=1"], 2),
+], ids=["gridinfo", "recover", "integrate", "compare", "export-rule",
+        "dump-grid", "config-error"])
+def test_entry_point_matches_in_process_run(mixed_cfg, command, settings,
+                                            code):
+    # python -m sgqi.cli in a fresh interpreter exits with main's status
+    # and writes the bytes that main writes in process
+    argv = [command, "-c", mixed_cfg, *settings]
+    res, want = run_process(*argv), run_cli(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == \
+        (code, want.stdout, want.stderr)
+    assert want.returncode == code
+
+
 # sha256 of export-rule output: any table entry that moves by one ulp
 # changes a weight and so these bytes
 GOLDEN_RULES = [
@@ -233,7 +271,7 @@ README_INI = MIXED_INI.replace("r = 2", "r = 4").replace(
 # ulp changes these bytes
 GOLDEN_README = [
     ("recover",
-     "a4a841debe02ce91121ec8f203923d6c418fda68c59fb387b73c07b021777e44"),
+     "9b4c5d481a4e5ae3e2754c7e6ee07052c3a150d54e299ad461eca5c4c9570e30"),
     ("integrate",
      "6a203fbcb084715474a2d9e8e9051393da6666567cd8b0ef5aa04d46466be79a"),
     ("gridinfo",
@@ -275,8 +313,8 @@ def test_output_does_not_depend_on_blas_threads(tmp_path, argv):
     argv = [str(path) if a == "README" else a for a in argv]
     outs = []
     for threads in ("1", "2"):
-        res = run_cli(*argv, env={**os.environ,
-                                  "OPENBLAS_NUM_THREADS": threads})
+        res = run_process(*argv, env={**os.environ,
+                                      "OPENBLAS_NUM_THREADS": threads})
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
     assert outs[0] == outs[1]

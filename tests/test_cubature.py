@@ -25,18 +25,18 @@ def test_frozen_trapezoid_weights():
     # order 2 on the level-0 grid is the endpoint trapezoid rule
     rule = cubature.assemble_weights(box_set((0,)), 2)
     np.testing.assert_allclose(rule.points()[:, 0], [0.0, 1.0])
-    np.testing.assert_allclose(rule.weight_vector(), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(rule.weights, [0.5, 0.5], atol=1e-15)
     # adding level 1 refines it to the composite rule at h = 1/2
     rule = cubature.assemble_weights(box_set((1,)), 2)
     np.testing.assert_allclose(rule.points()[:, 0], [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(rule.weight_vector(), [0.25, 0.5, 0.25],
+    np.testing.assert_allclose(rule.weights, [0.25, 0.5, 0.25],
                                atol=1e-15)
 
 
 def test_frozen_order1_endpoint_weights():
     rule = cubature.assemble_weights(box_set((0,)), 1)
     np.testing.assert_allclose(rule.points()[:, 0], [0.0, 1.0])
-    np.testing.assert_allclose(rule.weight_vector(), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(rule.weights, [0.5, 0.5], atol=1e-15)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -44,7 +44,7 @@ def test_weights_sum_to_one(r):
     for delta in (box_set((2, 2)), grids.delta_mixed(4.0, MIXED),
                   grids.comparison_sets(3.0, 1.0, "smolyak", 2)):
         rule = cubature.assemble_weights(delta, r)
-        assert abs(rule.weight_vector().sum() - 1.0) < 1e-13
+        assert abs(rule.weights.sum() - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

@@ -135,10 +135,9 @@ def test_tables_match_exact_rational_oracle(r):
 
 def product_tables(r, k, rng):
     """Every kind of table the package applies to tensors, of order r at
-    level k: sample, surplus, chain, refinement and collocation."""
+    level k: sample, surplus, refinement and collocation."""
     yield qi.sample_matrix(r, k)
     yield qi.surplus_matrix(r, k)
-    yield qi._chain_matrix(r, k)[0]
     yield qi.refine_matrix(r, k)
     yield qi.collocation_matrix(r, k, rng.random(5))[0]
 
@@ -394,23 +393,6 @@ def test_apply_along_axis_matches_moveaxis(r, levels, seed):
             for W in (qi.surplus_matrix(r, k), qi.sample_matrix(r, k)):
                 assert same_bits(qi._apply_along_axis(W, T, axis),
                                  apply_along_axis_moveaxis(W, T, axis))
-
-
-@pytest.mark.parametrize("r", bspline.ORDERS)
-def test_chain_matrix_stacks_the_level_products(r):
-    # row block j of the stacked product is level j's table applied to
-    # every 2^(m-j)-th node, bit for bit
-    rng = np.random.default_rng(r)
-    for m in range(9):
-        W, first = qi._chain_matrix(r, m)
-        assert len(first) == m + 2 and first[-1] == W.shape[0]
-        for T in (rng.standard_normal((1 << m) + 1),
-                  rng.standard_normal(((1 << m) + 1, 1)),
-                  rng.standard_normal(((1 << m) + 1, 3))):
-            got = W @ T
-            for j in range(m + 1):
-                want = qi.surplus_matrix(r, j) @ T[::1 << (m - j)]
-                assert same_bits(got[first[j]:first[j + 1]], want), (m, j)
 
 
 def test_coarse_axis_window_spans_unreached_knots():

@@ -488,24 +488,39 @@ def test_boxes_are_built_once_per_reconstruction(monkeypatch):
 
 
 def test_levels_are_computed_when_read(monkeypatch, tmp_path):
-    # build and load stop before the stacked axis-0 product; the first
-    # evaluation runs it once per chain
+    # build and load stop before any axis-0 product; the first evaluation
+    # sums each chain by one sample table at its top level
     def boom(r, m):
-        raise RuntimeError("stacked axis-0 product")
+        raise RuntimeError("axis-0 sample table")
 
-    monkeypatch.setattr(recovery, "_chain_matrix", boom)
+    monkeypatch.setattr(recovery, "sample_matrix", boom)
     delta = grids.delta_mixed(4.0, MIXED)
     recovery.save(recovery.build(smooth2, delta, 3), tmp_path / "rec.json")
     rec = recovery.load(tmp_path / "rec.json")
     calls = []
 
-    def spy(r, m, real=qi._chain_matrix):
+    def spy(r, m, real=qi.sample_matrix):
         calls.append(m)
         return real(r, m)
 
-    monkeypatch.setattr(recovery, "_chain_matrix", spy)
+    monkeypatch.setattr(recovery, "sample_matrix", spy)
     recovery.evaluate_batch(rec, np.random.default_rng(4).random((30, 2)))
     assert calls == [m for _, m in sorted(grids.chains(delta.levels).items())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(downward_closed_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_chain_sums_match_per_level_parts(delta, r, seed):
+    # a built chain enters evaluation as its telescoped sum at the top
+    # level; the same levels as coefficients enter one part per level
+    rng = np.random.default_rng(seed)
+    rec = recovery.build(_rational(rng.uniform(0.5, 3.0, delta.d)), delta, r)
+    per_level = dataclasses.replace(rec, surplus=dict(rec.surplus),
+                                    samples=None)
+    X = _probe_points(delta, rng)
+    got = recovery.evaluate_batch(rec, X)
+    want = recovery.evaluate_batch(per_level, X)
+    assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
 
 
 def test_roundtrip_serialization(tmp_path):
